@@ -17,8 +17,9 @@ and are byte-identical across runs for a fixed config and seed, regardless
 of the worker count.
 
 Exit codes: 0 success; 1 verify mismatch; 2 invalid configuration;
-3 degenerate model; 4 budget infeasible with the surrogate disabled;
-5 I/O failure.
+3 degenerate model; 4 budget infeasible with the surrogate disabled,
+rejection budget (max_rejections) exhausted, or dense n x n allocation
+failed; 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import BudgetExceededError, DegenerateModelError
+from .errors import BudgetExceededError, DegenerateModelError, SamplerStallError
 from .gaussian import sample_surrogate, surrogate_coefficients
 from .hypergraph import (
     SamplerBudget,
@@ -800,6 +801,7 @@ def _note(cfg: dict, message: str) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    cfg: dict = {}
     try:
         file_values = _load_config_file(args.config) if args.config else None
         cfg = resolve_config(file_values, _overrides_from_args(args))
@@ -847,6 +849,16 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except SamplerStallError as exc:
+        print(f"error: sampling budget max_rejections exhausted: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        n = cfg.get("n")
+        print(
+            f"error: out of memory allocating a dense {n} x {n} matrix: {exc}",
+            file=sys.stderr,
+        )
         return 4
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -172,6 +172,35 @@ def test_sample_budget_exit(capsys):
     capsys.readouterr()
 
 
+def test_sample_rejection_budget_exit(tmp_path, capsys):
+    code = main(
+        [
+            "sample",
+            "--n", "10", "--r", "3", "--p", "0.8",
+            "--max-edges", "100", "--max-rejections", "1",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert code == 4
+    assert "max_rejections" in capsys.readouterr().err
+
+
+def test_dense_allocation_failure_exit(monkeypatch, capsys):
+    def no_memory(h):
+        raise MemoryError("Unable to allocate dense matrix")
+
+    monkeypatch.setattr("hyperspectra.cli.adjacency", no_memory)
+    code = main(
+        [
+            "montecarlo",
+            "--n", "30", "--r", "2", "--p", "0.2",
+            "--trials", "1", "--engine", "bernoulli", "--quiet",
+        ]
+    )
+    assert code == 4
+    assert "30 x 30" in capsys.readouterr().err
+
+
 def test_spectrum_empty_hypergraph(tmp_path, capsys):
     # zero adjacency: H = -mu/sqrt(n sigma^2) (J - I), spectrum
     # {-(n-1) mu, mu, ...} / sqrt(n sigma^2)

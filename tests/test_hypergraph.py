@@ -46,6 +46,12 @@ def test_hypergraph_rejects_bad_rows():
     with pytest.raises(ValueError):
         hypergraph_of(4, (2, [[0, 1], [0, 1]]))  # duplicate edge
     with pytest.raises(ValueError):
+        hypergraph_of(4, (2, [[0, 1], [1, 2], [0, 1]]))  # non-adjacent duplicate
+    wide = list(range(0, 100, 10))  # r log2 n > 62: structured row keys
+    with pytest.raises(ValueError):
+        hypergraph_of(100, (10, [wide, wide]))
+    assert hypergraph_of(100, (10, [wide, [v + 1 for v in wide]])).edge_counts == (2,)
+    with pytest.raises(ValueError):
         hypergraph_of(4, (3, [[0, 1, 2]]), (2, [[0, 1]]))  # class order
 
 
