@@ -9,7 +9,7 @@ semicircle law, and a brute-force oracle for models small enough to
 enumerate.
 """
 
-from .errors import BudgetExceededError, DegenerateModelError, SamplerStallError
+from .errors import BudgetExceededError, DegenerateModelError
 from .gaussian import (
     SurrogateCoefficients,
     assemble_surrogate,
@@ -83,7 +83,6 @@ __all__ = [
     "Regime",
     "RegimeResult",
     "SamplerBudget",
-    "SamplerStallError",
     "SemicircleLaw",
     "SurrogateCoefficients",
     "adjacency",

@@ -17,9 +17,8 @@ and are byte-identical across runs for a fixed config and seed, regardless
 of the worker count.
 
 Exit codes: 0 success; 1 verify mismatch; 2 invalid configuration;
-3 degenerate model; 4 budget infeasible with the surrogate disabled,
-rejection budget (max_rejections) exhausted, or dense n x n allocation
-failed; 5 I/O failure.
+3 degenerate model; 4 budget infeasible with the surrogate disabled, or
+dense n x n allocation failed; 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import BudgetExceededError, DegenerateModelError, SamplerStallError
+from .errors import BudgetExceededError, DegenerateModelError
 from .gaussian import sample_surrogate, surrogate_coefficients
 from .hypergraph import (
     SamplerBudget,
@@ -90,7 +89,7 @@ _DEFAULTS: dict[str, Any] = {
     "bins": 100,
     "eps": 1.0,
     "z": [0.0, 1.0],
-    "budget": {"max_edges": 10_000_000, "max_rejections": 10_000},
+    "budget": {"max_edges": 10_000_000},
     "engine": "auto",
     "out_dir": None,
     "emit": ["json"],
@@ -192,7 +191,7 @@ def resolve_config(
                 if not isinstance(val, dict):
                     raise ConfigError("budget must be an object")
                 for bk, bv in val.items():
-                    if bk not in ("max_edges", "max_rejections"):
+                    if bk != "max_edges":
                         raise ConfigError(f"unknown budget key {bk!r}")
                     cfg["budget"][bk] = bv
             else:
@@ -233,10 +232,9 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError(f"z must be [re, im], got {z!r}")
     if not z[1] > 0:
         raise ConfigError(f"z must have positive imaginary part, got {z!r}")
-    for bk in ("max_edges", "max_rejections"):
-        bv = cfg["budget"][bk]
-        if isinstance(bv, bool) or not isinstance(bv, int) or bv < 1:
-            raise ConfigError(f"budget.{bk} must be a positive integer, got {bv!r}")
+    bv = cfg["budget"]["max_edges"]
+    if isinstance(bv, bool) or not isinstance(bv, int) or bv < 1:
+        raise ConfigError(f"budget.max_edges must be a positive integer, got {bv!r}")
     if cfg["engine"] not in _ENGINES:
         raise ConfigError(f"engine must be one of {_ENGINES}, got {cfg['engine']!r}")
     emit = cfg["emit"]
@@ -264,10 +262,7 @@ def _params_from_config(cfg: dict) -> ModelParams:
 
 
 def _budget_from_config(cfg: dict) -> SamplerBudget:
-    return SamplerBudget(
-        max_edges=cfg["budget"]["max_edges"],
-        max_rejections=cfg["budget"]["max_rejections"],
-    )
+    return SamplerBudget(max_edges=cfg["budget"]["max_edges"])
 
 
 def _trial_seed(master: int, trial: int) -> int:
@@ -506,24 +501,18 @@ def run_montecarlo(cfg: dict, force_engine: str | None = None) -> dict:
     if engine == "gaussian-surrogate":
         coeffs = surrogate_coefficients(covariance_profile(params))
 
-    def one_trial(t: int) -> tuple[np.ndarray, tuple[str, ...]]:
+    def one_trial(t: int) -> np.ndarray:
         ts = _trial_seed(seed, t)
         if engine == "bernoulli":
             h = sample_hypergraph(params, ts, budget)
-            return eigenvalues(center_scale(adjacency(h), params)), h.notes
-        return eigenvalues(sample_surrogate(params.n, coeffs, ts)), ()
+            return eigenvalues(center_scale(adjacency(h), params))
+        return eigenvalues(sample_surrogate(params.n, coeffs, ts))
 
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_trial, range(trials)))
+            trial_eigs = list(pool.map(one_trial, range(trials)))
     else:
-        results = [one_trial(t) for t in range(trials)]
-
-    trial_eigs = [r[0] for r in results]
-    for _, trial_notes in results:
-        for note in trial_notes:
-            if note not in notes:
-                notes.append(note)
+        trial_eigs = [one_trial(t) for t in range(trials)]
 
     pooled = esd(np.concatenate(trial_eigs))
     hist = average_esd([esd(e) for e in trial_eigs], bins)
@@ -699,7 +688,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--eps", type=float, help="truncation multiplier")
         sp.add_argument("--z", type=_float_list, metavar="RE,IM", help="spectral point")
         sp.add_argument("--max-edges", type=int, dest="max_edges")
-        sp.add_argument("--max-rejections", type=int, dest="max_rejections")
 
     common(sub.add_parser("analyze", help="closed-form statistics report"))
     common(sub.add_parser("sample", help="draw one hypergraph to a text file"))
@@ -746,13 +734,8 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
         val = getattr(args, attr, None)
         if val is not None:
             over[key] = val
-    budget = {}
-    for attr in ("max_edges", "max_rejections"):
-        val = getattr(args, attr, None)
-        if val is not None:
-            budget[attr] = val
-    if budget:
-        over["budget"] = budget
+    if getattr(args, "max_edges", None) is not None:
+        over["budget"] = {"max_edges": args.max_edges}
     return over
 
 
@@ -849,9 +832,6 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except SamplerStallError as exc:
-        print(f"error: sampling budget max_rejections exhausted: {exc}", file=sys.stderr)
         return 4
     except MemoryError as exc:
         n = cfg.get("n")

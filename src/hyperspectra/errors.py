@@ -21,8 +21,3 @@ class BudgetExceededError(RuntimeError):
         super().__init__(message)
         self.log_expected_edges = float(log_expected_edges)
 
-
-class SamplerStallError(RuntimeError):
-    """Rejection sampling hit its retry cap before producing enough distinct
-    hyperedges.  Occurs only when the requested count approaches the number of
-    possible edges while the enumerate-and-thin fallback is unavailable."""

@@ -10,13 +10,12 @@ edge lists.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, SamplerStallError
+from .errors import BudgetExceededError
 from .theory import ModelParams, derive_stats, log_binomial, _logsumexp
 
 __all__ = [
@@ -32,28 +31,19 @@ __all__ = [
     "read_hypergraph_text",
 ]
 
-# Largest population for which a Binomial count is drawn directly; beyond
-# this the population is not exactly representable in a double and the count
-# is drawn as Poisson(population * p) instead.
-_EXACT_POPULATION_LIMIT = 2 ** 53
-
 
 @dataclass(frozen=True)
 class SamplerBudget:
     """Feasibility limits for the edge sampler.
 
-    max_edges       refuse models whose expected total edge count exceeds this
-    max_rejections  cap on rejection-sampling retries per requested edge
+    max_edges  refuse models whose expected total edge count exceeds this
     """
 
     max_edges: int = 10_000_000
-    max_rejections: int = 10_000
 
     def __post_init__(self) -> None:
         if self.max_edges < 1:
             raise ValueError(f"max_edges must be >= 1, got {self.max_edges}")
-        if self.max_rejections < 1:
-            raise ValueError(f"max_rejections must be >= 1, got {self.max_rejections}")
 
 
 def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
@@ -81,7 +71,6 @@ class EdgeClass:
 class Hypergraph:
     n: int
     classes: tuple[EdgeClass, ...]
-    notes: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 2:
@@ -104,10 +93,11 @@ class Hypergraph:
                 )
             if not np.issubdtype(edges.dtype, np.integer):
                 raise ValueError(f"class {i}: edge indices must be integers")
+            # range check before the int32 cast, which would wrap larger values
+            if edges.shape[0] and (edges.min() < 0 or edges.max() >= self.n):
+                raise ValueError(f"class {i}: vertex index outside 0..{self.n - 1}")
             edges = np.ascontiguousarray(edges, dtype=np.int32)
             if edges.shape[0]:
-                if edges.min() < 0 or edges.max() >= self.n:
-                    raise ValueError(f"class {i}: vertex index outside 0..{self.n - 1}")
                 if r > 1 and not np.all(np.diff(edges, axis=1) > 0):
                     raise ValueError(f"class {i}: edge rows must be strictly ascending")
                 # sort, not np.unique: unique's hash-table path is ~80x slower here
@@ -117,74 +107,100 @@ class Hypergraph:
             edges.setflags(write=False)
             cleaned.append(EdgeClass(r=r, edges=edges))
         object.__setattr__(self, "classes", tuple(cleaned))
-        object.__setattr__(self, "notes", tuple(str(s) for s in self.notes))
 
     @property
     def edge_counts(self) -> tuple[int, ...]:
         return tuple(cls.edges.shape[0] for cls in self.classes)
 
 
-def _enumerate_subsets(n: int, r: int, pop: int) -> np.ndarray:
-    if pop <= 100_000:
-        return _enumerate_subsets_cached(n, r, pop)
-    return _enumerate_subsets_fresh(n, r, pop)
+# Populations below this are walked rank by rank; rank sums then stay in int64.
+_RANK_LIMIT = 2**62
+_INT64_MAX = 2**63 - 1
+# gap draws per chunk of the rank walk; bounds the walk's scratch memory
+_MAX_CHUNK = 2**20
 
 
 @functools.lru_cache(maxsize=64)
-def _enumerate_subsets_cached(n: int, r: int, pop: int) -> np.ndarray:
-    out = _enumerate_subsets_fresh(n, r, pop)
-    out.setflags(write=False)
+def _binomial_table(n: int, r: int) -> np.ndarray:
+    """Row j holds C(c, j) for c = 0..n-1, capped at INT64_MAX."""
+    table = np.array(
+        [[min(math.comb(c, j), _INT64_MAX) for c in range(n)] for j in range(r + 1)],
+        dtype=np.int64,
+    )
+    table.setflags(write=False)
+    return table
+
+
+def _unrank(ranks: np.ndarray, n: int, r: int) -> np.ndarray:
+    """The r-subsets of {0..n-1} with the given colex ranks, one per row.
+
+    Colex rank of c_1 < ... < c_r is sum_j C(c_j, j) (combinatorial number
+    system); c_j is the largest c with C(c, j) <= the rank left over.
+    Distinct ranks give distinct rows, each strictly ascending.
+    """
+    table = _binomial_table(n, r)
+    rest = np.array(ranks, dtype=np.int64)
+    out = np.empty((rest.size, r), dtype=np.int32)
+    for j in range(r, 1, -1):
+        col = np.searchsorted(table[j], rest, side="right") - 1
+        rest -= table[j][col]
+        out[:, j - 1] = col
+    # C(c, 1) = c, so the rank left over is c_1 itself
+    out[:, 0] = rest
     return out
 
 
-def _enumerate_subsets_fresh(n: int, r: int, pop: int) -> np.ndarray:
-    if r == 2:
-        iu, iv = np.triu_indices(n, 1)
-        return np.column_stack((iu, iv)).astype(np.int32)
-    flat = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), r)),
-        dtype=np.int32,
-        count=pop * r,
-    )
-    return flat.reshape(pop, r)
+def _bernoulli_ranks(rng: np.random.Generator, pop: int, p: float) -> np.ndarray:
+    """Ascending ranks in [0, pop), each kept independently with probability p.
+
+    Requires pop < 2^62.  Walks the ranks with Geometric(p) gaps
+    (Batagelj & Brandes, Phys. Rev. E 71, 2005); for p > 1/2 it walks the
+    dropped ranks instead, with 1 - p.
+    """
+    if p > 0.5:
+        keep = np.ones(pop, dtype=bool)
+        keep[_bernoulli_ranks(rng, pop, 1.0 - p)] = False
+        return np.flatnonzero(keep)
+    if p == 0.0:
+        return np.empty(0, dtype=np.int64)
+    mean = pop * p
+    chunk = int(min(mean + 6.0 * math.sqrt(mean * (1.0 - p)) + 16.0, _MAX_CHUNK))
+    parts = []
+    last = -1
+    while True:
+        pos = rng.geometric(p, size=chunk)
+        # numpy saturates at INT64_MAX for tiny p.  A gap of pop + 1 already
+        # leaves the range from rank -1, so clipping there keeps the law (at
+        # pop, an empty class would be impossible) and keeps every prefix sum
+        # up to the first one >= pop exact in int64; later sums may wrap.
+        np.minimum(pos, pop + 1, out=pos)
+        pos[0] += last
+        np.cumsum(pos, out=pos)
+        past = np.flatnonzero(pos >= pop)
+        if past.size:
+            parts.append(pos[: past[0]])
+            return np.concatenate(parts)
+        parts.append(pos)
+        last = int(pos[-1])
 
 
-def _dedup_keep_first(rows: np.ndarray, n: int) -> np.ndarray:
-    _, first = np.unique(_row_keys(rows, n), return_index=True)
-    first.sort()
-    return rows[first]
+def _poisson_subsets(rng: np.random.Generator, n: int, r: int, p: float) -> np.ndarray:
+    """Bernoulli(p) r-subsets of {0..n-1} for populations too large to rank.
 
-
-def _draw_distinct(
-    rng: np.random.Generator, n: int, r: int, count: int, max_rejections: int
-) -> np.ndarray:
-    """First ``count`` distinct r-subsets from a uniform i.i.d. stream."""
-    kept = np.empty((0, r), dtype=np.int32)
-    allowed = (count + 16) * max_rejections
-    drawn = 0
-    # i.i.d. vertex draws are wasteful once within-row collisions dominate
-    use_perm = r * (r - 1) > n
-    base = np.arange(n, dtype=np.int32)
-    while kept.shape[0] < count:
-        need = count - kept.shape[0]
-        batch = max(2 * need + 16, 64)
-        if use_perm:
-            batch = min(batch, max(4_000_000 // n, 1))
-            cand = rng.permuted(np.tile(base, (batch, 1)), axis=1)[:, :r]
-        else:
-            batch = min(batch, 4_000_000)
-            cand = rng.integers(0, n, size=(batch, r), dtype=np.int32)
-        drawn += batch
-        cand.sort(axis=1)
-        if not use_perm and r > 1:
-            cand = cand[np.all(np.diff(cand, axis=1) > 0, axis=1)]
-        kept = _dedup_keep_first(np.vstack((kept, cand)), n)
-        if kept.shape[0] < count and drawn > allowed:
-            raise SamplerStallError(
-                f"could not draw {count} distinct {r}-subsets of {n} vertices "
-                f"within {allowed} candidate draws"
-            )
-    return kept[:count]
+    Draws K ~ Poisson(C(n, r) * -log(1 - p)) uniform r-subsets and merges
+    repeats.  Each subset's hit count is then an independent
+    Poisson(-log(1 - p)), so it is present with probability exactly p.
+    """
+    lam = math.exp(log_binomial(n, r) + math.log(-math.log1p(-p)))
+    count = int(rng.poisson(lam))
+    # Floyd's algorithm, one step per column for all rows at once
+    rows = np.empty((count, r), dtype=np.int32)
+    for i, top in enumerate(range(n - r, n)):
+        pick = rng.integers(0, top + 1, size=count, dtype=np.int32)
+        taken = (rows[:, :i] == pick[:, None]).any(axis=1)
+        rows[:, i] = np.where(taken, top, pick)
+    rows.sort(axis=1)
+    return np.unique(rows, axis=0)
 
 
 def log_expected_edges(params: ModelParams) -> float:
@@ -206,9 +222,7 @@ def sample_hypergraph(
 ) -> Hypergraph:
     """Draw one hypergraph from the model.
 
-    Per class the edge count K_i is Binomial(C(n, r_i), p_i), or
-    Poisson(C(n, r_i) p_i) when the population exceeds 2^53 (recorded in the
-    result's notes); the K_i edges are then uniform distinct r_i-subsets.
+    Each r_i-subset is an edge independently with probability p_i, exactly.
     Refuses models whose expected total edge count exceeds the budget,
     checked in log space before anything is drawn.  Identical
     (params, seed, budget) give a bit-identical result.
@@ -225,36 +239,15 @@ def sample_hypergraph(
     rng = np.random.default_rng(seed)
     n = params.n
     classes: list[EdgeClass] = []
-    notes: list[str] = []
-    for i, (r, p) in enumerate(params.classes):
-        log_pop = log_binomial(n, r)
-        if log_pop <= math.log(_EXACT_POPULATION_LIMIT):
-            pop = math.comb(n, r)
-        else:
-            pop = None
+    for r, p in params.classes:
         if p == 0.0:
-            count = 0
-        elif pop is not None:
-            count = int(rng.binomial(pop, p))
-        else:
-            lam = math.exp(log_pop + math.log(p))
-            count = int(rng.poisson(lam))
-            notes.append(
-                f"class {i}: edge count drawn as Poisson({lam:.6g}); "
-                f"population C({n},{r}) exceeds 2^53"
-            )
-        if count == 0:
             edges = np.empty((0, r), dtype=np.int32)
-        elif pop is not None and 2 * count > pop and pop <= budget.max_edges:
-            # enumerate-and-thin: uniform K-subset of the full edge list
-            full = _enumerate_subsets(n, r, pop)
-            idx = rng.choice(pop, size=count, replace=False)
-            idx.sort()
-            edges = full[idx]
+        elif (pop := math.comb(n, r)) < _RANK_LIMIT:
+            edges = _unrank(_bernoulli_ranks(rng, pop, p), n, r)
         else:
-            edges = _draw_distinct(rng, n, r, count, budget.max_rejections)
+            edges = _poisson_subsets(rng, n, r, p)
         classes.append(EdgeClass(r=r, edges=edges))
-    return Hypergraph(n=n, classes=tuple(classes), notes=tuple(notes))
+    return Hypergraph(n=n, classes=tuple(classes))
 
 
 def adjacency(h: Hypergraph) -> np.ndarray:
@@ -331,31 +324,30 @@ def write_hypergraph_text(h: Hypergraph, path) -> None:
 
 
 def read_hypergraph_text(path) -> Hypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         tokens = fh.read().split()
     pos = 0
 
-    def take(count: int, what: str) -> list[int]:
+    def take(count: int, what: str) -> np.ndarray:
         nonlocal pos
         chunk = tokens[pos : pos + count]
         if len(chunk) < count:
             raise ValueError(f"truncated hypergraph file: expected {what}")
         pos += count
         try:
-            return [int(t) for t in chunk]
-        except ValueError as exc:
+            return np.array(chunk, dtype=np.int64)
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"bad integer in hypergraph file near {what}") from exc
 
-    n, k = take(2, "header 'n k'")
+    n, k = (int(v) for v in take(2, "header 'n k'"))
     classes = []
     for i in range(k):
-        r, m = take(2, f"class {i} header 'r m'")
+        r, m = (int(v) for v in take(2, f"class {i} header 'r m'"))
         if r < 2:
             raise ValueError(f"class {i}: size {r} below 2")
         if m < 0:
             raise ValueError(f"class {i}: negative edge count")
-        flat = take(r * m, f"class {i} edges")
-        edges = np.asarray(flat, dtype=np.int64).reshape(m, r) - 1
+        edges = take(r * m, f"class {i} edges").reshape(m, r) - 1
         classes.append(EdgeClass(r=r, edges=edges))
     if pos != len(tokens):
         raise ValueError("trailing data after the last declared edge")

@@ -82,6 +82,8 @@ def test_resolve_config_rejects_unknown_and_bad():
     with pytest.raises(ConfigError):
         resolve_config(None, {"budget": {"max_edges": 0}})
     with pytest.raises(ConfigError):
+        resolve_config({"budget": {"max_rejections": 100}}, None)
+    with pytest.raises(ConfigError):
         resolve_config(None, {"emit": ["png"]})
 
 
@@ -172,17 +174,24 @@ def test_sample_budget_exit(capsys):
     capsys.readouterr()
 
 
-def test_sample_rejection_budget_exit(tmp_path, capsys):
+def test_sample_dense_class_exits_zero(tmp_path, capsys):
+    # K close to C(10,3) = 120: every row must still be ascending and distinct
     code = main(
         [
             "sample",
             "--n", "10", "--r", "3", "--p", "0.8",
-            "--max-edges", "100", "--max-rejections", "1",
+            "--max-edges", "100",
             "--out", str(tmp_path),
         ]
     )
-    assert code == 4
-    assert "max_rejections" in capsys.readouterr().err
+    assert code == 0
+    capsys.readouterr()
+    lines = (tmp_path / "hypergraph.txt").read_text().splitlines()
+    r, m = (int(v) for v in lines[1].split())
+    rows = np.array([[int(v) for v in line.split()] for line in lines[2:]])
+    assert r == 3 and rows.shape == (m, 3)
+    assert (np.diff(rows, axis=1) > 0).all()
+    assert np.unique(rows, axis=0).shape[0] == m
 
 
 def test_dense_allocation_failure_exit(monkeypatch, capsys):
@@ -228,6 +237,13 @@ def test_spectrum_mismatched_model(tmp_path, capsys):
     assert main(["spectrum", str(hpath), "--n", "4", "--r", "3", "--p", "0.5"]) == 2
     assert main(["spectrum", str(tmp_path / "no.txt"), "--n", "4", "--r", "2", "--p", "0.5"]) == 5
     capsys.readouterr()
+
+
+def test_spectrum_huge_integer_exit(tmp_path, capsys):
+    hpath = tmp_path / "h.txt"
+    hpath.write_text("5 1\n2 1\n1 99999999999999999999\n")
+    assert main(["spectrum", str(hpath), "--n", "5", "--r", "2", "--p", "0.5"]) == 2
+    assert "bad integer" in capsys.readouterr().err
 
 
 def test_spectrum_csv_precision(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Sampler law checks, adjacency construction, and the text interchange format."""
 
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from hyperspectra import (
     sample_hypergraph,
     write_hypergraph_text,
 )
+from hyperspectra.hypergraph import _bernoulli_ranks, _unrank
 
 
 def hypergraph_of(n, *classes):
@@ -139,13 +141,68 @@ def test_entry_covariance_monte_carlo():
         assert abs(cov - want) <= 4 * se
 
 
+def test_unrank_matches_combinations():
+    for n, r in [(7, 3), (9, 4), (10, 2), (12, 5), (6, 6)]:
+        got = _unrank(np.arange(math.comb(n, r)), n, r)
+        colex = sorted(itertools.combinations(range(n), r), key=lambda c: c[::-1])
+        assert np.array_equal(got, np.array(colex)), (n, r)
+
+
+def test_bernoulli_ranks_law():
+    # each rank kept independently with probability p, so K ~ Binomial(pop, p);
+    # (3, 0.05) needs P(K = 0) > 0, which a walk that always lands a rank fails
+    trials = 20_000
+    for seed, (pop, p) in enumerate([(6, 0.5), (4, 0.5), (10, 0.7), (3, 0.05)]):
+        rng = np.random.default_rng(seed)
+        hits = np.zeros(pop, dtype=np.int64)
+        counts = np.empty(trials, dtype=np.int64)
+        for t in range(trials):
+            ranks = _bernoulli_ranks(rng, pop, p)
+            assert (np.diff(ranks) > 0).all()
+            assert ranks.size == 0 or (ranks[0] >= 0 and ranks[-1] < pop)
+            hits[ranks] += 1
+            counts[t] = ranks.size
+        sd = math.sqrt(p * (1 - p) / trials)
+        assert (np.abs(hits / trials - p) <= 4 * sd).all(), (pop, p)
+        observed = np.bincount(counts, minlength=pop + 1)
+        expected = trials * sps.binom.pmf(np.arange(pop + 1), pop, p)
+        # fold each sparse end into its neighbour so every cell expects >= 5
+        lo, hi = np.flatnonzero(expected >= 5)[[0, -1]]
+
+        def pooled(x):
+            return np.concatenate(([x[: lo + 1].sum()], x[lo + 1 : hi], [x[hi:].sum()]))
+
+        assert sps.chisquare(pooled(observed), pooled(expected)).pvalue > 0.001, (pop, p)
+        if expected[0] >= 5:
+            assert observed[0] > 0, (pop, p)
+
+
+def test_sample_joint_law():
+    # all 2^10 edge sets of n=4, r=(2,3): each subset independent with its p,
+    # across classes too; p=0.6 takes the complement walk
+    params = ModelParams.of(4, [2, 3], [0.5, 0.6])
+    subsets = [c for r in (2, 3) for c in itertools.combinations(range(4), r)]
+    bit = {c: 1 << i for i, c in enumerate(subsets)}
+    trials = 20_000
+    codes = np.empty(trials, dtype=np.int64)
+    for s in range(trials):
+        h = sample_hypergraph(params, seed=s)
+        codes[s] = sum(bit[tuple(e)] for cls in h.classes for e in cls.edges.tolist())
+    present = (np.arange(1024)[:, None] >> np.arange(10)) & 1
+    probs = np.where(present, [0.5] * 6 + [0.6] * 4, [0.5] * 6 + [0.4] * 4).prod(axis=1)
+    observed = np.bincount(codes, minlength=1024)
+    assert sps.chisquare(observed, trials * probs).pvalue > 0.001
+
+
 def test_sample_poisson_fallback():
-    # C(200,10) > 2^53: the count switches to Poisson and says so
-    params = ModelParams.of(200, [10], [1e-12])
+    # C(200,15) ~ 1.46e22 >= 2^62: Poisson count of uniform subsets, repeats merged
+    params = ModelParams.of(200, [15], [1e-18])
     h = sample_hypergraph(params, seed=3)
-    assert any("Poisson" in note for note in h.notes)
-    lam = math.exp(derive_stats(params).log_class_count[0]) * 1e-12
-    assert abs(h.edge_counts[0] - lam) < 10 * math.sqrt(lam)
+    lam = math.comb(200, 15) * -math.log1p(-1e-18)
+    assert abs(h.edge_counts[0] - lam) < 6 * math.sqrt(lam)
+    rows = h.classes[0].edges
+    assert (np.diff(rows, axis=1) > 0).all()
+    assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
 
 
 def test_sample_budget_refusal():
@@ -153,13 +210,13 @@ def test_sample_budget_refusal():
         sample_hypergraph(
             ModelParams.of(100_000, [5], [0.5]),
             seed=0,
-            budget=SamplerBudget(max_edges=10_000_000, max_rejections=100),
+            budget=SamplerBudget(max_edges=10_000_000),
         )
     assert exc.value.log_expected_edges > math.log(10_000_000)
 
 
 def test_sample_near_complete_thinning():
-    # K close to C(n,r) exercises the enumerate-and-thin path
+    # p > 1/2 exercises the complement walk: it skips over the absent subsets
     h = sample_hypergraph(ModelParams.of(12, [3], [0.97]), seed=6)
     pop = math.comb(12, 3)
     assert h.edge_counts[0] > 0.9 * pop
@@ -276,4 +333,13 @@ def test_text_format_rejects_garbage(tmp_path):
         read_hypergraph_text(path)
     path.write_text("5 1\n2 1\n1 2\n7\n")  # trailing tokens
     with pytest.raises(ValueError):
+        read_hypergraph_text(path)
+    path.write_text("5 1\n2 1\n1 99999999999999999999\n")  # beyond int64
+    with pytest.raises(ValueError, match="bad integer"):
+        read_hypergraph_text(path)
+    path.write_text("5 1\n2 1\n1 4294967298\n")  # would wrap to vertex 2 in int32
+    with pytest.raises(ValueError):
+        read_hypergraph_text(path)
+    path.write_text("5 1\n2 1\n1 \xd9\xa3\n")  # non-ASCII digit
+    with pytest.raises(ValueError, match="bad integer"):
         read_hypergraph_text(path)
