@@ -153,16 +153,9 @@ def _unrank(ranks: np.ndarray, n: int, r: int) -> np.ndarray:
 def _bernoulli_ranks(rng: np.random.Generator, pop: int, p: float) -> np.ndarray:
     """Ascending ranks in [0, pop), each kept independently with probability p.
 
-    Requires pop < 2^62.  Walks the ranks with Geometric(p) gaps
-    (Batagelj & Brandes, Phys. Rev. E 71, 2005); for p > 1/2 it walks the
-    dropped ranks instead, with 1 - p.
+    Requires pop < 2^62 and 0 < p <= 1.  Walks the ranks with Geometric(p)
+    gaps (Batagelj & Brandes, Phys. Rev. E 71, 2005); at p = 1 every gap is 1.
     """
-    if p > 0.5:
-        keep = np.ones(pop, dtype=bool)
-        keep[_bernoulli_ranks(rng, pop, 1.0 - p)] = False
-        return np.flatnonzero(keep)
-    if p == 0.0:
-        return np.empty(0, dtype=np.int64)
     mean = pop * p
     chunk = int(min(mean + 6.0 * math.sqrt(mean * (1.0 - p)) + 16.0, _MAX_CHUNK))
     parts = []

@@ -179,7 +179,7 @@ def test_bernoulli_ranks_law():
 
 def test_sample_joint_law():
     # all 2^10 edge sets of n=4, r=(2,3): each subset independent with its p,
-    # across classes too; p=0.6 takes the complement walk
+    # across classes too, with p above 1/2 in the second class
     params = ModelParams.of(4, [2, 3], [0.5, 0.6])
     subsets = [c for r in (2, 3) for c in itertools.combinations(range(4), r)]
     bit = {c: 1 << i for i, c in enumerate(subsets)}
@@ -216,7 +216,7 @@ def test_sample_budget_refusal():
 
 
 def test_sample_near_complete_thinning():
-    # p > 1/2 exercises the complement walk: it skips over the absent subsets
+    # p near 1: the rank walk takes mostly unit gaps and skips the few absent subsets
     h = sample_hypergraph(ModelParams.of(12, [3], [0.97]), seed=6)
     pop = math.comb(12, 3)
     assert h.edge_counts[0] > 0.9 * pop
