@@ -1,12 +1,11 @@
 """Closed-form statistics for a two-class model, no sampling involved."""
 
-import math
-
 from hyperspectra import (
     ModelParams,
     classify_regime_k2,
     covariance_profile,
     derive_stats,
+    predicted_variance,
 )
 
 # 500 vertices, pairs at p = 0.05 mixed with triples at p = 0.001
@@ -21,8 +20,7 @@ print("scale constant K_n     :", stats.K_n)
 print("log nonsparsity ratio  :", stats.log_nonsparsity_ratio)
 
 # the limiting spectral variance predicted for this model
-s2 = math.fsum(w * (1.0 - r / params.n) ** 2 for w, r in zip(stats.w_fin, params.r))
-print("predicted s^2          :", s2)
+print("predicted s^2          :", predicted_variance(params))
 
 profile = covariance_profile(params)
 print("gamma_n, rho_n, theta^2:", profile.gamma_n, profile.rho_n, profile.theta_sq)

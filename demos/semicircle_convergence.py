@@ -1,7 +1,5 @@
 """Kolmogorov-Smirnov distance to the predicted semicircle as n grows."""
 
-import math
-
 import numpy as np
 
 from hyperspectra import (
@@ -9,10 +7,10 @@ from hyperspectra import (
     SemicircleLaw,
     adjacency,
     center_scale,
-    derive_stats,
     eigenvalues,
     esd,
     ks_distance,
+    predicted_variance,
     sample_hypergraph,
 )
 
@@ -21,8 +19,7 @@ TRIALS = 3
 print("     n   s2_pred        KS")
 for n in (100, 200, 400, 800):
     params = ModelParams.of(n, [2, 3], [0.08, 0.004])
-    stats = derive_stats(params)
-    s2 = math.fsum(w * (1.0 - r / n) ** 2 for w, r in zip(stats.w_fin, params.r))
+    s2 = predicted_variance(params)
     pooled = np.concatenate(
         [
             eigenvalues(center_scale(adjacency(sample_hypergraph(params, 10 * n + t)), params))

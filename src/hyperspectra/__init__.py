@@ -10,25 +10,19 @@ enumerate.
 """
 
 from .errors import BudgetExceededError, DegenerateModelError
-from .gaussian import (
-    SurrogateCoefficients,
-    assemble_surrogate,
-    sample_surrogate,
-    surrogate_coefficients,
-)
+from .gaussian import assemble_surrogate, sample_surrogate, surrogate_coefficients
 from .hypergraph import (
     EdgeClass,
     Hypergraph,
     SamplerBudget,
     adjacency,
     center_scale,
-    degree_count,
     log_expected_edges,
     read_hypergraph_text,
     sample_hypergraph,
     write_hypergraph_text,
 )
-from .oracle import ExactCovariances, exact_covariances, exact_eesd_moments
+from .oracle import exact_covariances, exact_eesd_moments
 from .spectral import (
     EmpiricalMeasure,
     SemicircleLaw,
@@ -36,7 +30,6 @@ from .spectral import (
     eigenvalues,
     empirical_stieltjes,
     esd,
-    ks_against_cdf,
     ks_distance,
     moment,
     semicircle_cdf,
@@ -46,11 +39,8 @@ from .spectral import (
 from .theory import (
     ChatterjeeBound,
     CovarianceProfile,
-    DerivedStats,
     ModelParams,
-    PasturTail,
     Regime,
-    RegimeResult,
     bernoulli_tail_second_moment,
     bernoulli_truncated_third_moment,
     chatterjee_bound,
@@ -64,6 +54,7 @@ from .theory import (
     nonsparsity_log_ratio,
     pastur_lhs_bernoulli,
     pastur_lhs_gaussian,
+    predicted_variance,
 )
 
 __version__ = "0.1.0"
@@ -73,18 +64,13 @@ __all__ = [
     "ChatterjeeBound",
     "CovarianceProfile",
     "DegenerateModelError",
-    "DerivedStats",
     "EdgeClass",
     "EmpiricalMeasure",
-    "ExactCovariances",
     "Hypergraph",
     "ModelParams",
-    "PasturTail",
     "Regime",
-    "RegimeResult",
     "SamplerBudget",
     "SemicircleLaw",
-    "SurrogateCoefficients",
     "adjacency",
     "assemble_surrogate",
     "average_esd",
@@ -94,7 +80,6 @@ __all__ = [
     "chatterjee_bound",
     "classify_regime_k2",
     "covariance_profile",
-    "degree_count",
     "derive_stats",
     "eigenvalues",
     "empirical_stieltjes",
@@ -103,7 +88,6 @@ __all__ = [
     "exact_eesd_moments",
     "gaussian_tail_second_moment",
     "gaussian_truncated_third_moment",
-    "ks_against_cdf",
     "ks_distance",
     "limit_variance",
     "log_binomial",
@@ -112,6 +96,7 @@ __all__ = [
     "nonsparsity_log_ratio",
     "pastur_lhs_bernoulli",
     "pastur_lhs_gaussian",
+    "predicted_variance",
     "read_hypergraph_text",
     "sample_hypergraph",
     "sample_surrogate",

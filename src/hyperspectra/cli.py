@@ -61,6 +61,7 @@ from .theory import (
     derive_stats,
     pastur_lhs_bernoulli,
     pastur_lhs_gaussian,
+    predicted_variance,
 )
 
 __all__ = [
@@ -238,8 +239,14 @@ def _validate_config(cfg: dict) -> None:
     if cfg["engine"] not in _ENGINES:
         raise ConfigError(f"engine must be one of {_ENGINES}, got {cfg['engine']!r}")
     emit = cfg["emit"]
-    if not isinstance(emit, (list, tuple)) or not set(emit) <= set(_EMITS):
+    if (
+        not isinstance(emit, (list, tuple))
+        or not all(isinstance(e, str) for e in emit)
+        or not set(emit) <= set(_EMITS)
+    ):
         raise ConfigError(f"emit must be a subset of {_EMITS}, got {emit!r}")
+    if cfg["out_dir"] is not None and not isinstance(cfg["out_dir"], str):
+        raise ConfigError(f"out_dir must be a string, got {cfg['out_dir']!r}")
     if cfg["format"] not in ("json", "csv"):
         raise ConfigError(f"format must be json or csv, got {cfg['format']!r}")
     if not isinstance(cfg["quiet"], bool):
@@ -249,16 +256,7 @@ def _validate_config(cfg: dict) -> None:
 def _params_from_config(cfg: dict) -> ModelParams:
     if cfg["n"] is None or cfg["r"] is None or cfg["p"] is None:
         raise ConfigError("model requires n, r and p (config file or flags)")
-    r = cfg["r"]
-    p = cfg["p"]
-    if len(r) != len(p):
-        raise ConfigError(f"r has {len(r)} classes but p has {len(p)}")
-    try:
-        r = [int(v) for v in r]
-        p = [float(v) for v in p]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad r or p entry: {exc}") from exc
-    return ModelParams.of(cfg["n"], r, p)
+    return ModelParams.of(cfg["n"], cfg["r"], cfg["p"])
 
 
 def _budget_from_config(cfg: dict) -> SamplerBudget:
@@ -362,6 +360,16 @@ def run_analyze(cfg: dict) -> dict:
 # sample and spectrum
 
 
+def _write_text(out_dir: str, name: str, text: str) -> str:
+    """Write ``text`` to ``out_dir/name`` (LF newlines), creating the
+    directory first; returns the path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    return path
+
+
 def run_sample(cfg: dict) -> str:
     params = _params_from_config(cfg)
     h = sample_hypergraph(params, cfg["seed"], _budget_from_config(cfg))
@@ -372,11 +380,8 @@ def run_sample(cfg: dict) -> str:
     return path
 
 
-def _write_eigs_csv(path: str, eigs: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("lambda\n")
-        for v in eigs:
-            fh.write(format(float(v), ".17g") + "\n")
+def _eigs_csv(eigs: np.ndarray) -> str:
+    return "lambda\n" + "".join(format(float(v), ".17g") + "\n" for v in eigs)
 
 
 def run_spectrum(cfg: dict, hypergraph_path: str) -> tuple[str, np.ndarray]:
@@ -390,10 +395,7 @@ def run_spectrum(cfg: dict, hypergraph_path: str) -> tuple[str, np.ndarray]:
             f"file class sizes {file_sizes} do not match config r = {params.r}"
         )
     eigs = eigenvalues(center_scale(adjacency(h), params))
-    out_dir = cfg["out_dir"] or "."
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "eigenvalues.csv")
-    _write_eigs_csv(path, eigs)
+    path = _write_text(cfg["out_dir"] or ".", "eigenvalues.csv", _eigs_csv(eigs))
     return path, eigs
 
 
@@ -401,18 +403,11 @@ def run_spectrum(cfg: dict, hypergraph_path: str) -> tuple[str, np.ndarray]:
 # monte carlo
 
 
-def _predicted_s_sq(params: ModelParams) -> float:
-    stats = derive_stats(params)
-    return math.fsum(
-        w * (1.0 - r / params.n) ** 2 for w, r in zip(stats.w_fin, params.r)
-    )
-
-
-def _svg_histogram(hist, law: SemicircleLaw | None) -> str:
+def _svg_histogram(
+    edges: np.ndarray, masses: np.ndarray, law: SemicircleLaw | None
+) -> str:
     """Static histogram plus reference-density overlay, no interactivity."""
     width, height, margin = 640.0, 400.0, 48.0
-    edges = np.asarray(hist.bin_edges)
-    masses = np.asarray(hist.masses)
     widths = np.diff(edges)
     dens = masses / widths
     lo, hi = float(edges[0]), float(edges[-1])
@@ -515,8 +510,8 @@ def run_montecarlo(cfg: dict, force_engine: str | None = None) -> dict:
         trial_eigs = [one_trial(t) for t in range(trials)]
 
     pooled = esd(np.concatenate(trial_eigs))
-    hist = average_esd([esd(e) for e in trial_eigs], bins)
-    s2_pred = _predicted_s_sq(params)
+    edges, masses = average_esd([esd(e) for e in trial_eigs], bins)
+    s2_pred = predicted_variance(params)
     if s2_pred > 0.0:
         law = SemicircleLaw(s2_pred)
         ks = ks_distance(pooled, law)
@@ -539,35 +534,23 @@ def run_montecarlo(cfg: dict, force_engine: str | None = None) -> dict:
         "m4": moment(pooled, 4),
         "eigenvalue_range": [float(pooled.atoms[0]), float(pooled.atoms[-1])],
         "histogram": {
-            "edges": list(hist.bin_edges),
-            "masses": list(hist.masses),
+            "edges": list(edges),
+            "masses": list(masses),
         },
         "notes": notes,
     }
 
     out_dir = cfg["out_dir"]
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         emit = set(cfg["emit"])
         stem = report["command"]
         if "json" in emit:
-            with open(
-                os.path.join(out_dir, f"{stem}.json"),
-                "w",
-                encoding="utf-8",
-                newline="\n",
-            ) as fh:
-                fh.write(dumps(report))
+            _write_text(out_dir, f"{stem}.json", dumps(report))
         if "csv" in emit:
             for t, eigs in enumerate(trial_eigs):
-                _write_eigs_csv(
-                    os.path.join(out_dir, f"eigenvalues_trial{t:04d}.csv"), eigs
-                )
+                _write_text(out_dir, f"eigenvalues_trial{t:04d}.csv", _eigs_csv(eigs))
         if "svg" in emit:
-            with open(
-                os.path.join(out_dir, f"{stem}.svg"), "w", encoding="utf-8", newline="\n"
-            ) as fh:
-                fh.write(_svg_histogram(hist, law))
+            _write_text(out_dir, f"{stem}.svg", _svg_histogram(edges, masses, law))
     return report
 
 
@@ -679,15 +662,15 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--config", metavar="PATH", help="JSON configuration file")
         sp.add_argument("--seed", type=int, help="64-bit master seed")
-        sp.add_argument("--out", metavar="DIR", help="output directory")
-        sp.add_argument("--format", choices=["json", "csv"], dest="fmt")
+        sp.add_argument("--out", metavar="DIR", dest="out_dir", help="output directory")
+        sp.add_argument("--format", choices=["json", "csv"])
         sp.add_argument("--quiet", action="store_true", default=None)
         sp.add_argument("--n", type=int, help="number of vertices")
         sp.add_argument("--r", type=_int_list, help="class sizes, e.g. 2,3")
         sp.add_argument("--p", type=_float_list, help="class probabilities, e.g. 0.1,0.005")
         sp.add_argument("--eps", type=float, help="truncation multiplier")
         sp.add_argument("--z", type=_float_list, metavar="RE,IM", help="spectral point")
-        sp.add_argument("--max-edges", type=int, dest="max_edges")
+        sp.add_argument("--max-edges", type=int)
 
     common(sub.add_parser("analyze", help="closed-form statistics report"))
     common(sub.add_parser("sample", help="draw one hypergraph to a text file"))
@@ -714,27 +697,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    over: dict[str, Any] = {}
-    for attr, key in (
-        ("seed", "seed"),
-        ("out", "out_dir"),
-        ("fmt", "format"),
-        ("quiet", "quiet"),
-        ("n", "n"),
-        ("r", "r"),
-        ("p", "p"),
-        ("eps", "eps"),
-        ("z", "z"),
-        ("trials", "trials"),
-        ("bins", "bins"),
-        ("workers", "workers"),
-        ("emit", "emit"),
-        ("engine", "engine"),
-    ):
-        val = getattr(args, attr, None)
-        if val is not None:
-            over[key] = val
-    if getattr(args, "max_edges", None) is not None:
+    # every option but --max-edges has its config key as dest
+    over = {k: v for k, v in vars(args).items() if k in _DEFAULTS and v is not None}
+    if args.max_edges is not None:
         over["budget"] = {"max_edges": args.max_edges}
     return over
 
@@ -793,14 +758,7 @@ def main(argv: list[str] | None = None) -> int:
             report = run_analyze(cfg)
             _emit_report(report, cfg)
             if cfg["out_dir"] is not None:
-                os.makedirs(cfg["out_dir"], exist_ok=True)
-                with open(
-                    os.path.join(cfg["out_dir"], "analyze.json"),
-                    "w",
-                    encoding="utf-8",
-                    newline="\n",
-                ) as fh:
-                    fh.write(dumps(report))
+                _write_text(cfg["out_dir"], "analyze.json", dumps(report))
         elif args.command == "sample":
             path = run_sample(cfg)
             print(path)

@@ -26,7 +26,6 @@ __all__ = [
     "sample_hypergraph",
     "adjacency",
     "center_scale",
-    "degree_count",
     "write_hypergraph_text",
     "read_hypergraph_text",
 ]
@@ -281,17 +280,6 @@ def center_scale(A: np.ndarray, params: ModelParams) -> np.ndarray:
     H = (A.astype(np.float64) - stats.mu) / math.sqrt(scale_sq)
     np.fill_diagonal(H, 0.0)
     return H
-
-
-def degree_count(h: Hypergraph, v: int) -> tuple[int, ...]:
-    """Number of hyperedges containing vertex v (1-based), per class."""
-    if not 1 <= v <= h.n:
-        raise ValueError(f"vertex {v} outside 1..{h.n}")
-    v0 = v - 1
-    return tuple(
-        int(np.count_nonzero((cls.edges == v0).any(axis=1))) if cls.edges.size else 0
-        for cls in h.classes
-    )
 
 
 # ---------------------------------------------------------------------------

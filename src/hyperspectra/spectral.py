@@ -29,7 +29,6 @@ __all__ = [
     "semicircle_stieltjes",
     "empirical_stieltjes",
     "ks_distance",
-    "ks_against_cdf",
     "moment",
 ]
 
@@ -38,69 +37,23 @@ _SYMMETRY_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
-    """A probability measure in one of two forms: equal-weight atoms (sorted)
-    or a histogram (bin edges plus masses, uniform within each bin)."""
+    """A probability measure of equal-weight atoms, kept sorted."""
 
-    atoms: np.ndarray | None = None
-    bin_edges: np.ndarray | None = None
-    masses: np.ndarray | None = None
+    atoms: np.ndarray
 
     def __post_init__(self) -> None:
-        has_atoms = self.atoms is not None
-        has_hist = self.bin_edges is not None or self.masses is not None
-        if has_atoms == has_hist:
-            raise ValueError("measure needs either atoms or a histogram, not both")
-        if has_atoms:
-            atoms = np.sort(np.asarray(self.atoms, dtype=np.float64).ravel())
-            if atoms.size == 0:
-                raise ValueError("measure needs at least one atom")
-            if not np.isfinite(atoms).all():
-                raise ValueError("atoms must be finite")
-            atoms.setflags(write=False)
-            object.__setattr__(self, "atoms", atoms)
-        else:
-            edges = np.asarray(self.bin_edges, dtype=np.float64).ravel()
-            masses = np.asarray(self.masses, dtype=np.float64).ravel()
-            if edges.size != masses.size + 1:
-                raise ValueError(
-                    f"{edges.size} bin edges do not bound {masses.size} masses"
-                )
-            if masses.size == 0:
-                raise ValueError("histogram needs at least one bin")
-            if not (np.isfinite(edges).all() and np.isfinite(masses).all()):
-                raise ValueError("histogram values must be finite")
-            if np.any(np.diff(edges) <= 0):
-                raise ValueError("bin edges must be strictly increasing")
-            if masses.min(initial=0.0) < 0.0:
-                raise ValueError("masses must be nonnegative")
-            total = masses.sum()
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"masses sum to {total!r}, not 1")
-            edges.setflags(write=False)
-            masses.setflags(write=False)
-            object.__setattr__(self, "bin_edges", edges)
-            object.__setattr__(self, "masses", masses)
-
-    @classmethod
-    def from_atoms(cls, atoms) -> "EmpiricalMeasure":
-        return cls(atoms=np.asarray(atoms))
-
-    @classmethod
-    def from_histogram(cls, bin_edges, masses) -> "EmpiricalMeasure":
-        return cls(bin_edges=np.asarray(bin_edges), masses=np.asarray(masses))
-
-    @property
-    def is_histogram(self) -> bool:
-        return self.atoms is None
+        atoms = np.sort(np.asarray(self.atoms, dtype=np.float64).ravel())
+        if atoms.size == 0:
+            raise ValueError("measure needs at least one atom")
+        if not np.isfinite(atoms).all():
+            raise ValueError("atoms must be finite")
+        atoms.setflags(write=False)
+        object.__setattr__(self, "atoms", atoms)
 
     def cdf(self, x) -> np.ndarray | float:
-        """Right-continuous cdf for atoms; piecewise linear for a histogram."""
+        """Right-continuous cdf."""
         x = np.asarray(x, dtype=np.float64)
-        if self.atoms is not None:
-            out = np.searchsorted(self.atoms, x, side="right") / self.atoms.size
-        else:
-            cum = np.concatenate(([0.0], np.cumsum(self.masses)))
-            out = np.interp(x, self.bin_edges, cum)
+        out = np.searchsorted(self.atoms, x, side="right") / self.atoms.size
         return out if out.ndim else float(out)
 
 
@@ -123,18 +76,21 @@ def eigenvalues(H: np.ndarray) -> np.ndarray:
 
 def esd(eigs) -> EmpiricalMeasure:
     """Empirical spectral distribution: one atom of mass 1/n per eigenvalue."""
-    return EmpiricalMeasure.from_atoms(eigs)
+    return EmpiricalMeasure(eigs)
 
 
-def average_esd(measures: Sequence[EmpiricalMeasure], bins: int) -> EmpiricalMeasure:
-    """Equal-weight mixture of atom-form measures, binned on the common hull."""
+def average_esd(
+    measures: Sequence[EmpiricalMeasure], bins: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-weight mixture of the measures, binned on the common hull.
+
+    Returns ``(edges, masses)``: ``bins + 1`` increasing bin edges and the
+    mixture's mass in each bin, which sums to 1.
+    """
     if not measures:
         raise ValueError("need at least one measure")
     if not isinstance(bins, int) or bins < 1:
         raise ValueError(f"need an integer bin count >= 1, got {bins!r}")
-    for m in measures:
-        if m.is_histogram:
-            raise ValueError("average_esd mixes atom-form measures only")
     lo = min(float(m.atoms[0]) for m in measures)
     hi = max(float(m.atoms[-1]) for m in measures)
     if lo == hi:
@@ -145,7 +101,7 @@ def average_esd(measures: Sequence[EmpiricalMeasure], bins: int) -> EmpiricalMea
     for m in measures:
         counts, _ = np.histogram(m.atoms, bins=edges)
         masses += counts * (share / m.atoms.size)
-    return EmpiricalMeasure.from_histogram(edges, masses)
+    return edges, masses
 
 
 # ---------------------------------------------------------------------------
@@ -233,37 +189,28 @@ def empirical_stieltjes(eigs, z: complex) -> complex:
 # distances and moments
 
 
-def ks_against_cdf(m: EmpiricalMeasure, cdf: Callable) -> float:
-    """sup_x |F_m(x) - F(x)| over the measure's jump or bin boundaries,
-    taking both one-sided limits at atoms."""
-    if m.atoms is not None:
-        x = m.atoms
-        size = x.size
-        F = np.asarray(cdf(x), dtype=np.float64)
-        # left limit matters when the target cdf itself jumps at an atom
-        F_left = np.asarray(cdf(np.nextafter(x, -np.inf)), dtype=np.float64)
-        upper = np.arange(1, size + 1) / size
-        lower = np.arange(0, size) / size
-        d_plus = float(np.max(upper - F))
-        d_minus = float(np.max(F_left - lower))
-        return max(d_plus, d_minus, 0.0)
-    edges = m.bin_edges
-    fm = np.concatenate(([0.0], np.cumsum(m.masses)))
-    F = np.asarray(cdf(edges), dtype=np.float64)
-    return float(np.max(np.abs(fm - F)))
+def _ks_against_cdf(m: EmpiricalMeasure, cdf: Callable) -> float:
+    """sup_x |F_m(x) - F(x)| over the measure's atoms, taking both one-sided
+    limits at each atom."""
+    x = m.atoms
+    size = x.size
+    F = np.asarray(cdf(x), dtype=np.float64)
+    # left limit matters when the target cdf itself jumps at an atom
+    F_left = np.asarray(cdf(np.nextafter(x, -np.inf)), dtype=np.float64)
+    upper = np.arange(1, size + 1) / size
+    lower = np.arange(0, size) / size
+    d_plus = float(np.max(upper - F))
+    d_minus = float(np.max(F_left - lower))
+    return max(d_plus, d_minus, 0.0)
 
 
 def ks_distance(m: EmpiricalMeasure, law: SemicircleLaw) -> float:
     """Kolmogorov distance between the measure and a semicircle law."""
-    return ks_against_cdf(m, law.cdf)
+    return _ks_against_cdf(m, law.cdf)
 
 
 def moment(m: EmpiricalMeasure, k: int) -> float:
-    """k-th moment.  Exact for atoms; bin-midpoint approximation for a
-    histogram (so only as good as the binning)."""
+    """k-th moment of the atoms."""
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"need an integer moment order >= 0, got {k!r}")
-    if m.atoms is not None:
-        return float(np.mean(m.atoms**k))
-    mids = 0.5 * (m.bin_edges[:-1] + m.bin_edges[1:])
-    return float(np.sum(m.masses * mids**k))
+    return float(np.mean(m.atoms**k))

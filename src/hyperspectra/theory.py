@@ -28,6 +28,8 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -46,6 +48,7 @@ __all__ = [
     "nonsparsity_log_ratio",
     "covariance_profile",
     "limit_variance",
+    "predicted_variance",
     "classify_regime_k2",
     "pastur_lhs_bernoulli",
     "pastur_lhs_gaussian",
@@ -140,9 +143,10 @@ class ModelParams:
     """Size classes of the random hypergraph.
 
     n       number of vertices, n >= 2
-    classes ((r_1, p_1), ..., (r_k, p_k)) with 2 <= r_i <= n, r_i
+    classes ((r_1, p_1), ..., (r_k, p_k)) with integers 2 <= r_i <= n, r_i
             non-decreasing (duplicate sizes with distinct p are allowed),
-            0 <= p_i <= 1, and at least one p_i > 0.
+            real numbers 0 <= p_i <= 1 (not bools or strings), and at
+            least one p_i > 0.  Nothing is truncated: r_i = 2.9 raises.
 
     p_i = 1 everywhere is constructible (the complete hypergraph samples
     fine); everything that divides by the entry variance raises the
@@ -155,19 +159,25 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 2:
             raise ValueError(f"need an integer vertex count n >= 2, got {self.n!r}")
-        classes = tuple((int(r), float(p)) for r, p in self.classes)
-        object.__setattr__(self, "classes", classes)
-        if not classes:
-            raise ValueError("need at least one size class")
-        prev = 0
-        for i, (r, p) in enumerate(classes):
+        classes: list[tuple[int, float]] = []
+        for i, (r, p) in enumerate(self.classes):
+            try:
+                r = operator.index(r)
+            except TypeError:
+                raise ValueError(f"class {i}: size {r!r} is not an integer") from None
+            if isinstance(p, bool) or not isinstance(p, numbers.Real):
+                raise ValueError(f"class {i}: probability {p!r} is not a real number")
+            p = float(p)
             if r < 2 or r > self.n:
                 raise ValueError(f"class {i}: size {r} outside 2..{self.n}")
-            if r < prev:
+            if classes and r < classes[-1][0]:
                 raise ValueError("class sizes must be non-decreasing")
-            prev = r
             if not (0.0 <= p <= 1.0) or math.isnan(p):
                 raise ValueError(f"class {i}: probability {p} outside [0, 1]")
+            classes.append((r, p))
+        if not classes:
+            raise ValueError("need at least one size class")
+        object.__setattr__(self, "classes", tuple(classes))
         if all(p == 0.0 for _, p in classes):
             raise DegenerateModelError("every class probability is 0; nothing to draw")
 
@@ -175,7 +185,7 @@ class ModelParams:
     def of(cls, n: int, r: Sequence[int], p: Sequence[float]) -> "ModelParams":
         if len(r) != len(p):
             raise ValueError(f"got {len(r)} sizes but {len(p)} probabilities")
-        return cls(n=n, classes=tuple(zip((int(v) for v in r), (float(v) for v in p))))
+        return cls(n=n, classes=tuple(zip(r, p)))
 
     @property
     def k(self) -> int:
@@ -366,6 +376,19 @@ def limit_variance(weights: Sequence[float], c: Sequence[float]) -> float:
         if not 0.0 <= ci < 1.0:
             raise ValueError(f"class {i}: size fraction {ci} outside [0, 1)")
     return math.fsum(w * (1.0 - ci) ** 2 for w, ci in zip(weights, c))
+
+
+def predicted_variance(params: ModelParams) -> float:
+    """Semicircle variance s^2 = sum_i w_i (1 - r_i / n)^2 predicted at this n,
+    with the finite-n class weights.
+
+    Unlike ``limit_variance`` this accepts r_i = n; a model whose every
+    class has r_i = n predicts 0.
+    """
+    stats = derive_stats(params)
+    return math.fsum(
+        w * (1.0 - r / params.n) ** 2 for w, r in zip(stats.w_fin, params.r)
+    )
 
 
 # ---------------------------------------------------------------------------

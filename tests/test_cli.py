@@ -85,6 +85,10 @@ def test_resolve_config_rejects_unknown_and_bad():
         resolve_config({"budget": {"max_rejections": 100}}, None)
     with pytest.raises(ConfigError):
         resolve_config(None, {"emit": ["png"]})
+    with pytest.raises(ConfigError):
+        resolve_config({"emit": [["json"]]}, None)
+    with pytest.raises(ConfigError):
+        resolve_config({"out_dir": 5}, None)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +148,18 @@ def test_config_file_and_overrides(tmp_path, capsys):
     unknown.write_text(json.dumps({"n": 5, "r": [2], "p": [0.5], "zz": 1}))
     assert main(["analyze", "--config", str(unknown)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "classes",
+    [{"r": [2.9], "p": [0.5]}, {"r": ["2"], "p": [0.5]}, {"r": [2], "p": ["0.1"]}],
+    ids=["float-r", "string-r", "string-p"],
+)
+def test_config_file_rejects_untyped_classes(tmp_path, capsys, classes):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"n": 5, **classes}))
+    assert main(["montecarlo", "--config", str(path), "--trials", "1", "--quiet"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +352,18 @@ def test_montecarlo_emit_files(tmp_path, capsys):
         assert len(lines) == 41
     svg = (tmp_path / "montecarlo.svg").read_text()
     assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
+
+
+def test_montecarlo_zero_predicted_variance(capsys):
+    # r = n: every entry is the same single hyperedge, so the predicted
+    # variance sum_i w_i (1 - r_i / n)^2 is zero and no law is compared
+    assert main(
+        ["montecarlo", "--n", "4", "--r", "4", "--p", "0.5", "--trials", "2", "--quiet"]
+    ) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["s2_pred"] == 0.0
+    assert report["ks_distance"] == "nan"
+    assert any("predicted variance is zero" in note for note in report["notes"])
 
 
 def test_montecarlo_histogram_masses_sum():

@@ -15,7 +15,6 @@ from hyperspectra import (
     SamplerBudget,
     adjacency,
     center_scale,
-    degree_count,
     derive_stats,
     read_hypergraph_text,
     sample_hypergraph,
@@ -272,19 +271,6 @@ def test_center_scale_validation():
         center_scale(np.zeros((3, 4)), params)
     with pytest.raises(ValueError):
         center_scale(np.zeros((5, 5)), params)
-
-
-def test_degree_count():
-    empty = hypergraph_of(5, (2, np.empty((0, 2), dtype=np.int64)))
-    assert degree_count(empty, 3) == (0,)
-
-    complete = sample_hypergraph(ModelParams.of(5, [2], [1.0]), seed=0)
-    assert all(degree_count(complete, v) == (4,) for v in range(1, 6))
-
-    with pytest.raises(ValueError):
-        degree_count(empty, 0)
-    with pytest.raises(ValueError):
-        degree_count(empty, 6)
 
 
 def test_degree_mean_monte_carlo():

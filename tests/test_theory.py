@@ -31,6 +31,7 @@ from hyperspectra import (
     nonsparsity_log_ratio,
     pastur_lhs_bernoulli,
     pastur_lhs_gaussian,
+    predicted_variance,
 )
 
 
@@ -284,6 +285,22 @@ def test_limit_variance_validation():
         limit_variance([1.0], [1.0])
     with pytest.raises(ValueError):
         limit_variance([1.0], [-0.1])
+
+
+def test_predicted_variance():
+    # n = 5, r = (2, 3), p = 1/2: w = (1/4, 3/4), so s^2 = 0.25 * 0.6^2 + 0.75 * 0.4^2
+    assert predicted_variance(ModelParams.of(5, [2, 3], [0.5, 0.5])) == pytest.approx(
+        0.21, rel=1e-14
+    )
+
+
+def test_model_params_rejects_untyped_classes():
+    for r, p in (([2.9], [0.5]), (["2"], [0.5]), ([2], ["0.1"]), ([2], [True])):
+        with pytest.raises(ValueError):
+            ModelParams.of(5, r, p)
+    params = ModelParams.of(5, [np.int64(3)], [np.float64(0.5)])
+    assert params.classes == ((3, 0.5),)
+    assert type(params.r[0]) is int and type(params.p[0]) is float
 
 
 def test_classify_regime_thresholds():
