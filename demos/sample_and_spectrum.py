@@ -14,8 +14,8 @@ from hyperspectra import (
 
 params = ModelParams.of(400, [2, 3], [0.1, 0.002])
 h = sample_hypergraph(params, seed=7)
-for cls in h.classes:
-    print(f"size {cls.r}: {len(cls.edges)} hyperedges")
+for edges in h.classes:
+    print(f"size {edges.shape[1]}: {len(edges)} hyperedges")
 
 A = adjacency(h)
 print("adjacency: max entry", int(A.max()), "- mean degree", float(A.sum(1).mean()))

@@ -10,11 +10,9 @@ enumerate.
 """
 
 from .errors import BudgetExceededError, DegenerateModelError
-from .gaussian import assemble_surrogate, sample_surrogate, surrogate_coefficients
+from .gaussian import sample_surrogate, surrogate_coefficients
 from .hypergraph import (
-    EdgeClass,
     Hypergraph,
-    SamplerBudget,
     adjacency,
     center_scale,
     log_expected_edges,
@@ -64,15 +62,12 @@ __all__ = [
     "ChatterjeeBound",
     "CovarianceProfile",
     "DegenerateModelError",
-    "EdgeClass",
     "EmpiricalMeasure",
     "Hypergraph",
     "ModelParams",
     "Regime",
-    "SamplerBudget",
     "SemicircleLaw",
     "adjacency",
-    "assemble_surrogate",
     "average_esd",
     "bernoulli_tail_second_moment",
     "bernoulli_truncated_third_moment",

@@ -18,7 +18,7 @@ of the worker count.
 
 Exit codes: 0 success; 1 verify mismatch; 2 invalid configuration;
 3 degenerate model; 4 budget infeasible with the surrogate disabled, or
-dense n x n allocation failed; 5 I/O failure.
+out of memory; 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from .errors import BudgetExceededError, DegenerateModelError
 from .gaussian import sample_surrogate, surrogate_coefficients
 from .hypergraph import (
-    SamplerBudget,
+    MAX_EDGES,
     adjacency,
     center_scale,
     log_expected_edges,
@@ -90,7 +90,7 @@ _DEFAULTS: dict[str, Any] = {
     "bins": 100,
     "eps": 1.0,
     "z": [0.0, 1.0],
-    "budget": {"max_edges": 10_000_000},
+    "budget": {"max_edges": MAX_EDGES},
     "engine": "auto",
     "out_dir": None,
     "emit": ["json"],
@@ -259,10 +259,6 @@ def _params_from_config(cfg: dict) -> ModelParams:
     return ModelParams.of(cfg["n"], cfg["r"], cfg["p"])
 
 
-def _budget_from_config(cfg: dict) -> SamplerBudget:
-    return SamplerBudget(max_edges=cfg["budget"]["max_edges"])
-
-
 def _trial_seed(master: int, trial: int) -> int:
     """Splittable per-trial stream: independent of worker count and order."""
     ss = np.random.SeedSequence(entropy=master, spawn_key=(trial,))
@@ -372,7 +368,7 @@ def _write_text(out_dir: str, name: str, text: str) -> str:
 
 def run_sample(cfg: dict) -> str:
     params = _params_from_config(cfg)
-    h = sample_hypergraph(params, cfg["seed"], _budget_from_config(cfg))
+    h = sample_hypergraph(params, cfg["seed"], cfg["budget"]["max_edges"])
     out_dir = cfg["out_dir"] or "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "hypergraph.txt")
@@ -389,7 +385,7 @@ def run_spectrum(cfg: dict, hypergraph_path: str) -> tuple[str, np.ndarray]:
     h = read_hypergraph_text(hypergraph_path)
     if h.n != params.n:
         raise ConfigError(f"file has n = {h.n} but config n = {params.n}")
-    file_sizes = tuple(cls.r for cls in h.classes)
+    file_sizes = tuple(edges.shape[1] for edges in h.classes)
     if file_sizes != params.r:
         raise ConfigError(
             f"file class sizes {file_sizes} do not match config r = {params.r}"
@@ -467,14 +463,14 @@ def _svg_histogram(
 
 def run_montecarlo(cfg: dict, force_engine: str | None = None) -> dict:
     params = _params_from_config(cfg)
-    budget = _budget_from_config(cfg)
+    max_edges = cfg["budget"]["max_edges"]
     seed = cfg["seed"]
     trials = cfg["trials"] if cfg["trials"] is not None else 1
     bins = cfg["bins"]
     workers = cfg["workers"]
 
     engine = force_engine or cfg["engine"]
-    feasible = log_expected_edges(params) <= math.log(budget.max_edges)
+    feasible = log_expected_edges(params) <= math.log(max_edges)
     notes: list[str] = []
     if engine == "auto":
         if feasible:
@@ -499,7 +495,7 @@ def run_montecarlo(cfg: dict, force_engine: str | None = None) -> dict:
     def one_trial(t: int) -> np.ndarray:
         ts = _trial_seed(seed, t)
         if engine == "bernoulli":
-            h = sample_hypergraph(params, ts, budget)
+            h = sample_hypergraph(params, ts, max_edges)
             return eigenvalues(center_scale(adjacency(h), params))
         return eigenvalues(sample_surrogate(params.n, coeffs, ts))
 
@@ -560,7 +556,7 @@ def run_montecarlo(cfg: dict, force_engine: str | None = None) -> dict:
 
 def run_verify(cfg: dict) -> dict:
     params = _params_from_config(cfg)
-    budget = _budget_from_config(cfg)
+    max_edges = cfg["budget"]["max_edges"]
     trials = cfg["trials"] if cfg["trials"] is not None else 100_000
     if trials < 2:
         raise ConfigError("verify needs trials >= 2")
@@ -605,7 +601,7 @@ def run_verify(cfg: dict) -> dict:
     m2s = np.empty(trials)
     m4s = np.empty(trials)
     for t in range(trials):
-        h = sample_hypergraph(params, _trial_seed(seed, t), budget)
+        h = sample_hypergraph(params, _trial_seed(seed, t), max_edges)
         H = center_scale(adjacency(h), params)
         H2 = H @ H
         m2s[t] = np.trace(H2) / n
@@ -749,7 +745,6 @@ def _note(cfg: dict, message: str) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg: dict = {}
     try:
         file_values = _load_config_file(args.config) if args.config else None
         cfg = resolve_config(file_values, _overrides_from_args(args))
@@ -792,11 +787,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except MemoryError as exc:
-        n = cfg.get("n")
-        print(
-            f"error: out of memory allocating a dense {n} x {n} matrix: {exc}",
-            file=sys.stderr,
-        )
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,40 +53,27 @@ def surrogate_coefficients(profile: CovarianceProfile) -> SurrogateCoefficients:
     )
 
 
-def _draw_components(
-    n: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Raw normal draws behind one surrogate sample, in a fixed order."""
-    rng = np.random.default_rng(seed)
-    W = rng.standard_normal((n, n))
-    g = rng.standard_normal(n)
-    g0 = float(rng.standard_normal())
-    return W, g, g0
-
-
-def assemble_surrogate(
-    n: int,
-    coeffs: SurrogateCoefficients,
-    W: np.ndarray,
-    g: np.ndarray,
-    g0: float,
-) -> np.ndarray:
-    """Deterministic assembly given the component draws; upper triangle of W
-    is used for both (u, v) and (v, u)."""
-    upper = np.triu(W, 1)
-    sym = upper + upper.T
-    pert = coeffs.alpha * (g[:, None] + g[None, :]) + coeffs.beta * g0
-    H = (coeffs.theta * sym + pert) / math.sqrt(n)
-    np.fill_diagonal(H, 0.0)
-    return H
-
-
 def sample_surrogate(n: int, coeffs: SurrogateCoefficients, seed: int) -> np.ndarray:
     """One n x n surrogate matrix: symmetric, zero diagonal, float64.
 
-    Identical (n, coeffs, seed) give a bit-identical matrix.
+    Draws W (n x n), then g (n), then g0 from ``default_rng(seed)``; the
+    upper triangle of W serves both (u, v) and (v, u).  Identical
+    (n, coeffs, seed) give a bit-identical matrix.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"need an integer n >= 2, got {n!r}")
-    W, g, g0 = _draw_components(n, seed)
-    return assemble_surrogate(n, coeffs, W, g, g0)
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.standard_normal((n, n)), 1)
+    g = rng.standard_normal(n)
+    g0 = float(rng.standard_normal())
+    # (theta (U + U^T) + alpha (g_u + g_v) + beta g0) / sqrt(n), in place
+    H = upper + upper.T
+    del upper
+    H *= coeffs.theta
+    pert = np.add.outer(g, g)
+    pert *= coeffs.alpha
+    pert += coeffs.beta * g0
+    H += pert
+    H /= math.sqrt(n)
+    np.fill_diagonal(H, 0.0)
+    return H

@@ -19,8 +19,7 @@ from .errors import BudgetExceededError
 from .theory import ModelParams, derive_stats, log_binomial, _logsumexp
 
 __all__ = [
-    "SamplerBudget",
-    "EdgeClass",
+    "MAX_EDGES",
     "Hypergraph",
     "log_expected_edges",
     "sample_hypergraph",
@@ -30,19 +29,8 @@ __all__ = [
     "read_hypergraph_text",
 ]
 
-
-@dataclass(frozen=True)
-class SamplerBudget:
-    """Feasibility limits for the edge sampler.
-
-    max_edges  refuse models whose expected total edge count exceeds this
-    """
-
-    max_edges: int = 10_000_000
-
-    def __post_init__(self) -> None:
-        if self.max_edges < 1:
-            raise ValueError(f"max_edges must be >= 1, got {self.max_edges}")
+# default refusal bound on a model's expected total edge count
+MAX_EDGES = 10_000_000
 
 
 def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
@@ -58,38 +46,29 @@ def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class EdgeClass:
-    """Realized hyperedges of one size class: rows strictly ascending,
-    pairwise distinct, values in [0, n)."""
-
-    r: int
-    edges: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class Hypergraph:
+    """Realized hyperedges on vertices 0..n-1, one (m_i, r_i) int32 array per
+    size class, sizes non-decreasing: rows strictly ascending, pairwise
+    distinct, values in [0, n).  An empty class has shape (0, r_i)."""
+
     n: int
-    classes: tuple[EdgeClass, ...]
+    classes: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 2:
             raise ValueError(f"need an integer vertex count n >= 2, got {self.n!r}")
         prev_r = 0
         cleaned = []
-        for i, cls in enumerate(self.classes):
-            r = int(cls.r)
+        for i, edges in enumerate(self.classes):
+            edges = np.asarray(edges)
+            if edges.ndim != 2:
+                raise ValueError(f"class {i}: edge array shape {edges.shape} is not (m, r)")
+            r = edges.shape[1]
             if r < 2 or r > self.n:
                 raise ValueError(f"class {i}: size {r} outside 2..{self.n}")
             if r < prev_r:
                 raise ValueError("class sizes must be non-decreasing")
             prev_r = r
-            edges = np.asarray(cls.edges)
-            if edges.size == 0:
-                edges = edges.reshape(0, r)
-            if edges.ndim != 2 or edges.shape[1] != r:
-                raise ValueError(
-                    f"class {i}: edge array shape {edges.shape} does not match size {r}"
-                )
             if not np.issubdtype(edges.dtype, np.integer):
                 raise ValueError(f"class {i}: edge indices must be integers")
             # range check before the int32 cast, which would wrap larger values
@@ -97,19 +76,19 @@ class Hypergraph:
                 raise ValueError(f"class {i}: vertex index outside 0..{self.n - 1}")
             edges = np.ascontiguousarray(edges, dtype=np.int32)
             if edges.shape[0]:
-                if r > 1 and not np.all(np.diff(edges, axis=1) > 0):
+                if not np.all(np.diff(edges, axis=1) > 0):
                     raise ValueError(f"class {i}: edge rows must be strictly ascending")
                 # sort, not np.unique: unique's hash-table path is ~80x slower here
                 keys = np.sort(_row_keys(edges, self.n))
                 if (keys[1:] == keys[:-1]).any():
                     raise ValueError(f"class {i}: duplicate edges")
             edges.setflags(write=False)
-            cleaned.append(EdgeClass(r=r, edges=edges))
+            cleaned.append(edges)
         object.__setattr__(self, "classes", tuple(cleaned))
 
     @property
     def edge_counts(self) -> tuple[int, ...]:
-        return tuple(cls.edges.shape[0] for cls in self.classes)
+        return tuple(edges.shape[0] for edges in self.classes)
 
 
 # Populations below this are walked rank by rank; rank sums then stay in int64.
@@ -122,10 +101,15 @@ _MAX_CHUNK = 2**20
 @functools.lru_cache(maxsize=64)
 def _binomial_table(n: int, r: int) -> np.ndarray:
     """Row j holds C(c, j) for c = 0..n-1, capped at INT64_MAX."""
-    table = np.array(
-        [[min(math.comb(c, j), _INT64_MAX) for c in range(n)] for j in range(r + 1)],
-        dtype=np.int64,
-    )
+    table = np.zeros((r + 1, n), dtype=np.int64)
+    table[0] = 1
+    for j in range(1, r + 1):
+        # C(c, j) = sum_{i < c} C(i, j - 1).  A sum first passing INT64_MAX
+        # wraps negative (each term is at most INT64_MAX); later ones may not.
+        np.cumsum(table[j - 1, :-1], out=table[j, 1:])
+        wrapped = np.flatnonzero(table[j] < 0)
+        if wrapped.size:
+            table[j, wrapped[0] :] = _INT64_MAX
     table.setflags(write=False)
     return table
 
@@ -210,27 +194,27 @@ def log_expected_edges(params: ModelParams) -> float:
 def sample_hypergraph(
     params: ModelParams,
     seed: int,
-    budget: SamplerBudget | None = None,
+    max_edges: int = MAX_EDGES,
 ) -> Hypergraph:
     """Draw one hypergraph from the model.
 
     Each r_i-subset is an edge independently with probability p_i, exactly.
-    Refuses models whose expected total edge count exceeds the budget,
+    Refuses models whose expected total edge count exceeds max_edges,
     checked in log space before anything is drawn.  Identical
-    (params, seed, budget) give a bit-identical result.
+    (params, seed, max_edges) give a bit-identical result.
     """
-    if budget is None:
-        budget = SamplerBudget()
+    if max_edges < 1:
+        raise ValueError(f"max_edges must be >= 1, got {max_edges}")
     log_expected = log_expected_edges(params)
-    if log_expected > math.log(budget.max_edges):
+    if log_expected > math.log(max_edges):
         raise BudgetExceededError(
             f"expected edge count exp({log_expected:.3f}) exceeds "
-            f"budget.max_edges = {budget.max_edges}",
+            f"budget.max_edges = {max_edges}",
             log_expected,
         )
     rng = np.random.default_rng(seed)
     n = params.n
-    classes: list[EdgeClass] = []
+    classes = []
     for r, p in params.classes:
         if p == 0.0:
             edges = np.empty((0, r), dtype=np.int32)
@@ -238,31 +222,32 @@ def sample_hypergraph(
             edges = _unrank(_bernoulli_ranks(rng, pop, p), n, r)
         else:
             edges = _poisson_subsets(rng, n, r, p)
-        classes.append(EdgeClass(r=r, edges=edges))
+        classes.append(edges)
     return Hypergraph(n=n, classes=tuple(classes))
 
 
+@functools.lru_cache(maxsize=64)
+def _pair_columns(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column pairs (j, k), j < k, of an r-column edge array."""
+    return np.triu_indices(r, 1)
+
+
 def adjacency(h: Hypergraph) -> np.ndarray:
-    """Dense symmetric pair-count matrix with zero diagonal, uint32.
+    """Dense symmetric pair-count matrix with zero diagonal, int64.
 
     Entry (u, v) counts the hyperedges containing both u and v, summed over
     classes.  Cost is O(sum_i m_i r_i^2) plus one dense n x n buffer.
     """
     n = h.n
     counts = np.zeros(n * n, dtype=np.int64)
-    for cls in h.classes:
-        edges = cls.edges
-        if edges.shape[0] == 0:
-            continue
-        iu, iv = np.triu_indices(cls.r, 1)
-        a = edges[:, iu].astype(np.int64).ravel()
-        b = edges[:, iv].astype(np.int64).ravel()
-        counts += np.bincount(a * n + b, minlength=n * n)
+    for edges in h.classes:
+        iu, iv = _pair_columns(edges.shape[1])
+        keys = edges[:, iu].astype(np.int64)
+        keys *= n
+        keys += edges[:, iv]
+        counts += np.bincount(keys.ravel(), minlength=n * n)
     upper = counts.reshape(n, n)
-    out = upper + upper.T
-    if out.max(initial=0) > 0xFFFFFFFF:
-        raise ValueError("pair count exceeds 32-bit unsigned range")
-    return out.astype(np.uint32)
+    return upper + upper.T
 
 
 def center_scale(A: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -296,11 +281,12 @@ _WRITE_BLOCK_ROWS = 65_536
 def write_hypergraph_text(h: Hypergraph, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{h.n} {len(h.classes)}\n")
-        for cls in h.classes:
-            fh.write(f"{cls.r} {cls.edges.shape[0]}\n")
-            line = " ".join(["%d"] * cls.r) + "\n"
-            for start in range(0, cls.edges.shape[0], _WRITE_BLOCK_ROWS):
-                block = cls.edges[start : start + _WRITE_BLOCK_ROWS] + 1
+        for edges in h.classes:
+            m, r = edges.shape
+            fh.write(f"{r} {m}\n")
+            line = " ".join(["%d"] * r) + "\n"
+            for start in range(0, m, _WRITE_BLOCK_ROWS):
+                block = edges[start : start + _WRITE_BLOCK_ROWS] + 1
                 fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
@@ -328,8 +314,7 @@ def read_hypergraph_text(path) -> Hypergraph:
             raise ValueError(f"class {i}: size {r} below 2")
         if m < 0:
             raise ValueError(f"class {i}: negative edge count")
-        edges = take(r * m, f"class {i} edges").reshape(m, r) - 1
-        classes.append(EdgeClass(r=r, edges=edges))
+        classes.append(take(r * m, f"class {i} edges").reshape(m, r) - 1)
     if pos != len(tokens):
         raise ValueError("trailing data after the last declared edge")
     return Hypergraph(n=n, classes=tuple(classes))

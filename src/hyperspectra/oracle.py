@@ -40,10 +40,10 @@ def _edge_catalog(params: ModelParams) -> tuple[list[tuple[int, ...]], np.ndarra
 
 def _config_batches(M: int, p_edge: np.ndarray):
     """Yield (h, prob) for all 2^M configurations, h in {0,1}^(B, M)."""
-    shifts = np.arange(M, dtype=np.uint32)
+    shifts = np.arange(M, dtype=np.int32)
     for start in range(0, 1 << M, _BATCH):
         stop = min(start + _BATCH, 1 << M)
-        idx = np.arange(start, stop, dtype=np.uint32)
+        idx = np.arange(start, stop, dtype=np.int32)
         h = ((idx[:, None] >> shifts) & 1).astype(np.float64)
         prob = np.prod(np.where(h == 1.0, p_edge, 1.0 - p_edge), axis=1)
         yield h, prob

@@ -223,7 +223,23 @@ def test_dense_allocation_failure_exit(monkeypatch, capsys):
         ]
     )
     assert code == 4
-    assert "30 x 30" in capsys.readouterr().err
+    assert "error: out of memory: Unable to allocate dense matrix" in capsys.readouterr().err
+
+
+def test_montecarlo_huge_bins_exit(capsys):
+    # 10^15 bins is 8 PB, beyond any user address space: the allocation that
+    # fails is the histogram, not an n x n matrix
+    code = main(
+        [
+            "montecarlo",
+            "--n", "20", "--r", "2", "--p", "0.5",
+            "--trials", "1", "--bins", "1000000000000000", "--quiet",
+        ]
+    )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ")
+    assert "20 x 20" not in err
 
 
 def test_spectrum_empty_hypergraph(tmp_path, capsys):

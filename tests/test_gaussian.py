@@ -9,12 +9,10 @@ import pytest
 from hyperspectra import (
     CovarianceProfile,
     ModelParams,
-    assemble_surrogate,
     covariance_profile,
     sample_surrogate,
     surrogate_coefficients,
 )
-from hyperspectra.gaussian import _draw_components
 
 
 def test_coefficients_catalog():
@@ -98,16 +96,33 @@ def test_perturbation_rank_at_most_three():
     prof = covariance_profile(ModelParams.of(20, [6], [0.3]))
     c = surrogate_coefficients(prof)
     n = 100
-    W, g, g0 = _draw_components(n, seed=5)
+    # the documented draw order: W (n x n), then g (n), then g0
+    rng = np.random.default_rng(5)
+    W = rng.standard_normal((n, n))
+    g = rng.standard_normal(n)
+    g0 = float(rng.standard_normal())
     pert = c.alpha * (g[:, None] + g[None, :]) + c.beta * g0
     sv = np.linalg.svd(pert, compute_uv=False)
     assert sv[3] < 1e-8 * sv[0]
-    # and the assembled matrix reproduces theta W + perturbation off-diagonal
-    H = assemble_surrogate(n, c, W, g, g0)
+    # and the sampled matrix reproduces theta W + perturbation off-diagonal
+    H = sample_surrogate(n, c, seed=5)
     upper = np.triu(W, 1)
     want = (c.theta * (upper + upper.T) + pert) / math.sqrt(n)
     np.fill_diagonal(want, 0.0)
     assert H == pytest.approx(want, abs=1e-15)
+
+
+def test_sample_seeded_stream_pinned():
+    # one seeded 4 x 4 matrix; it changes only on a documented stream change
+    c = surrogate_coefficients(covariance_profile(ModelParams.of(6, [4], [0.5])))
+    assert min(c.theta, c.alpha, c.beta) > 0.0  # every part of the sum is exercised
+    want = [
+        [0.0, 0.09641590966350014, -0.14513854452052366, -0.3271220603191557],
+        [0.09641590966350014, 0.0, -0.41808562711850056, -0.038387744688890696],
+        [-0.14513854452052366, -0.41808562711850056, 0.0, -0.18670319857098555],
+        [-0.3271220603191557, -0.038387744688890696, -0.18670319857098555, 0.0],
+    ]
+    assert sample_surrogate(4, c, seed=1) == pytest.approx(np.array(want), abs=1e-15)
 
 
 def test_entry_normality():

@@ -9,10 +9,8 @@ from scipy import stats as sps
 
 from hyperspectra import (
     BudgetExceededError,
-    EdgeClass,
     Hypergraph,
     ModelParams,
-    SamplerBudget,
     adjacency,
     center_scale,
     derive_stats,
@@ -20,16 +18,13 @@ from hyperspectra import (
     sample_hypergraph,
     write_hypergraph_text,
 )
-from hyperspectra.hypergraph import _bernoulli_ranks, _unrank
+from hyperspectra.hypergraph import _bernoulli_ranks, _binomial_table, _unrank
 
 
 def hypergraph_of(n, *classes):
     return Hypergraph(
         n=n,
-        classes=tuple(
-            EdgeClass(r=r, edges=np.asarray(rows, dtype=np.int64).reshape(-1, r))
-            for r, rows in classes
-        ),
+        classes=tuple(np.asarray(rows, dtype=np.int64).reshape(-1, r) for r, rows in classes),
     )
 
 
@@ -54,6 +49,8 @@ def test_hypergraph_rejects_bad_rows():
     assert hypergraph_of(100, (10, [wide, [v + 1 for v in wide]])).edge_counts == (2,)
     with pytest.raises(ValueError):
         hypergraph_of(4, (3, [[0, 1, 2]]), (2, [[0, 1]]))  # class order
+    with pytest.raises(ValueError):
+        Hypergraph(n=4, classes=(np.array([0, 1]),))  # not an (m, r) array
 
 
 # ---------------------------------------------------------------------------
@@ -89,16 +86,15 @@ def test_sample_determinism_and_seed_sensitivity():
     b = sample_hypergraph(params, seed=123)
     c = sample_hypergraph(params, seed=124)
     for x, y in zip(a.classes, b.classes):
-        assert np.array_equal(x.edges, y.edges)
+        assert np.array_equal(x, y)
     assert any(
-        x.edges.shape != y.edges.shape or not np.array_equal(x.edges, y.edges)
-        for x, y in zip(a.classes, c.classes)
+        x.shape != y.shape or not np.array_equal(x, y) for x, y in zip(a.classes, c.classes)
     )
 
 
 def test_sample_rows_canonical():
     h = sample_hypergraph(ModelParams.of(25, [4], [0.05]), seed=9)
-    rows = h.classes[0].edges
+    rows = h.classes[0]
     assert (np.diff(rows, axis=1) > 0).all()
     assert rows.min() >= 0 and rows.max() < 25
 
@@ -147,6 +143,14 @@ def test_unrank_matches_combinations():
         assert np.array_equal(got, np.array(colex)), (n, r)
 
 
+def test_binomial_table_matches_comb():
+    # capped at INT64_MAX; C(69, 34) > INT64_MAX, so (70, 68) has capped entries
+    cap = 2**63 - 1
+    for n, r in [(5, 3), (1000, 4), (64, 62), (70, 68), (200, 40)]:
+        want = [[min(math.comb(c, j), cap) for c in range(n)] for j in range(r + 1)]
+        assert _binomial_table(n, r).tolist() == want, (n, r)
+
+
 def test_bernoulli_ranks_law():
     # each rank kept independently with probability p, so K ~ Binomial(pop, p);
     # (3, 0.05) needs P(K = 0) > 0, which a walk that always lands a rank fails
@@ -186,11 +190,20 @@ def test_sample_joint_law():
     codes = np.empty(trials, dtype=np.int64)
     for s in range(trials):
         h = sample_hypergraph(params, seed=s)
-        codes[s] = sum(bit[tuple(e)] for cls in h.classes for e in cls.edges.tolist())
+        codes[s] = sum(bit[tuple(e)] for edges in h.classes for e in edges.tolist())
     present = (np.arange(1024)[:, None] >> np.arange(10)) & 1
     probs = np.where(present, [0.5] * 6 + [0.6] * 4, [0.5] * 6 + [0.4] * 4).prod(axis=1)
     observed = np.bincount(codes, minlength=1024)
     assert sps.chisquare(observed, trials * probs).pvalue > 0.001
+
+
+def test_sample_seeded_stream_pinned():
+    # the exact rows of one seeded draw; they change only on a documented stream change
+    h = sample_hypergraph(ModelParams.of(6, [2, 3], [0.5, 0.3]), seed=1)
+    assert [edges.tolist() for edges in h.classes] == [
+        [[0, 2], [0, 4], [1, 4], [2, 5], [3, 5], [4, 5]],
+        [[0, 2, 4], [1, 2, 4], [0, 1, 5], [1, 3, 5], [2, 3, 5], [3, 4, 5]],
+    ]
 
 
 def test_sample_poisson_fallback():
@@ -199,7 +212,7 @@ def test_sample_poisson_fallback():
     h = sample_hypergraph(params, seed=3)
     lam = math.comb(200, 15) * -math.log1p(-1e-18)
     assert abs(h.edge_counts[0] - lam) < 6 * math.sqrt(lam)
-    rows = h.classes[0].edges
+    rows = h.classes[0]
     assert (np.diff(rows, axis=1) > 0).all()
     assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
 
@@ -209,9 +222,11 @@ def test_sample_budget_refusal():
         sample_hypergraph(
             ModelParams.of(100_000, [5], [0.5]),
             seed=0,
-            budget=SamplerBudget(max_edges=10_000_000),
+            max_edges=10_000_000,
         )
     assert exc.value.log_expected_edges > math.log(10_000_000)
+    with pytest.raises(ValueError):
+        sample_hypergraph(ModelParams.of(4, [2], [0.5]), seed=0, max_edges=0)
 
 
 def test_sample_near_complete_thinning():
@@ -219,7 +234,7 @@ def test_sample_near_complete_thinning():
     h = sample_hypergraph(ModelParams.of(12, [3], [0.97]), seed=6)
     pop = math.comb(12, 3)
     assert h.edge_counts[0] > 0.9 * pop
-    rows = h.classes[0].edges
+    rows = h.classes[0]
     assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
 
 
@@ -230,8 +245,9 @@ def test_sample_near_complete_thinning():
 def test_adjacency_catalog():
     h = hypergraph_of(4, (3, [[0, 1, 2]]))
     A = adjacency(h)
-    want = np.zeros((4, 4), dtype=np.uint32)
+    want = np.zeros((4, 4), dtype=np.int64)
     want[0, 1] = want[0, 2] = want[1, 2] = 1
+    assert A.dtype == np.int64
     assert np.array_equal(A, want + want.T)
 
     h = hypergraph_of(3, (2, [[0, 1]]), (3, [[0, 1, 2]]))
@@ -305,8 +321,8 @@ def test_text_format_roundtrip(tmp_path):
         back = read_hypergraph_text(path)
         assert back.n == h.n
         for x, y in zip(back.classes, h.classes):
-            assert x.r == y.r
-            assert np.array_equal(x.edges, y.edges)
+            assert x.shape == y.shape
+            assert np.array_equal(x, y)
 
 
 def test_text_format_rejects_garbage(tmp_path):
