@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,20 +233,30 @@ def _pair_columns(r: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(r, 1)
 
 
+# pair keys per bincount block, raised to n^2 for large n: bounds adjacency's
+# key scratch by the n x n result and keeps each block's n^2 bincount amortized
+_ADJACENCY_BLOCK_KEYS = 2**20
+
+
 def adjacency(h: Hypergraph) -> np.ndarray:
     """Dense symmetric pair-count matrix with zero diagonal, int64.
 
     Entry (u, v) counts the hyperedges containing both u and v, summed over
-    classes.  Cost is O(sum_i m_i r_i^2) plus one dense n x n buffer.
+    classes.  Cost is O(sum_i m_i r_i^2) plus one dense n x n buffer; pair
+    keys are built in blocks of edge rows, so scratch memory does not grow
+    with the edge count.
     """
     n = h.n
     counts = np.zeros(n * n, dtype=np.int64)
     for edges in h.classes:
         iu, iv = _pair_columns(edges.shape[1])
-        keys = edges[:, iu].astype(np.int64)
-        keys *= n
-        keys += edges[:, iv]
-        counts += np.bincount(keys.ravel(), minlength=n * n)
+        rows = max(max(_ADJACENCY_BLOCK_KEYS, n * n) // iu.size, 1)
+        for start in range(0, edges.shape[0], rows):
+            block = edges[start : start + rows]
+            keys = block[:, iu].astype(np.int64)
+            keys *= n
+            keys += block[:, iv]
+            counts += np.bincount(keys.ravel(), minlength=n * n)
     upper = counts.reshape(n, n)
     return upper + upper.T
 
@@ -290,21 +301,81 @@ def write_hypergraph_text(h: Hypergraph, path) -> None:
                 fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
+# bytes per split block; one block's tokens are the only per-token Python
+# objects the reader holds at a time
+_PARSE_BLOCK = 2**16
+# a separator of bytes.split()
+_WHITESPACE = re.compile(rb"[ \t\n\v\f\r]")
+
+
+def _blocks(data: bytes):
+    """``data`` in pieces of at least ``_PARSE_BLOCK`` bytes that each end at
+    a separator or at the end, so no token straddles two pieces."""
+    start = 0
+    while start < len(data):
+        cut = _WHITESPACE.search(data, start + _PARSE_BLOCK)
+        stop = cut.start() if cut else len(data)
+        yield data[start:stop]
+        start = stop
+
+
+def _int64(tokens: list[bytes], text: bytes) -> np.ndarray:
+    """``tokens``, split from ``text``, as int64.  Raises ValueError or
+    OverflowError where int() or int64 refuse a token, and on a '_' digit
+    separator, which int() accepts."""
+    if b"_" in text:
+        raise ValueError("'_' digit separator")
+    return np.array(tokens, dtype=np.int64)
+
+
+def _leading_int64(tokens: list[bytes]) -> np.ndarray:
+    """The tokens before the first bad one, as int64."""
+    good = 0
+    for token in tokens:
+        try:
+            _int64([token], token)
+        except (ValueError, OverflowError):
+            break
+        good += 1
+    return np.array(tokens[:good], dtype=np.int64)
+
+
+def _split_blocks(data: bytes) -> tuple[np.ndarray, int]:
+    """The tokens of ``data`` as int64 up to the first bad token, and the
+    number of tokens.  ``data`` is split and converted block by block, so at
+    most one block's tokens exist as Python objects at a time.  A first pass
+    counts the tokens so that the values are one allocation: per-block parts
+    and their concatenation doubled the values and made the peak RSS depend
+    on heap layout."""
+    total = sum(len(block.split()) for block in _blocks(data))
+    values = np.empty(total, dtype=np.int64)
+    at = 0
+    for block in _blocks(data):
+        tokens = block.split()
+        try:
+            values[at : at + len(tokens)] = _int64(tokens, block)
+        except (ValueError, OverflowError):
+            good = _leading_int64(tokens)
+            values[at : at + good.size] = good
+            return values[: at + good.size], total
+        at += len(tokens)
+    return values, total
+
+
 def read_hypergraph_text(path) -> Hypergraph:
     with open(path, "rb") as fh:
-        tokens = fh.read().split()
+        values, total = _split_blocks(fh.read())
     pos = 0
 
     def take(count: int, what: str) -> np.ndarray:
         nonlocal pos
-        chunk = tokens[pos : pos + count]
-        if len(chunk) < count:
+        if count > total - pos:
             raise ValueError(f"truncated hypergraph file: expected {what}")
+        chunk = values[pos : pos + count]
         pos += count
-        try:
-            return np.array(chunk, dtype=np.int64)
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"bad integer in hypergraph file near {what}") from exc
+        if chunk.size < count:
+            raise ValueError(f"bad integer in hypergraph file near {what}")
+        return chunk
 
     n, k = (int(v) for v in take(2, "header 'n k'"))
     classes = []
@@ -314,7 +385,9 @@ def read_hypergraph_text(path) -> Hypergraph:
             raise ValueError(f"class {i}: size {r} below 2")
         if m < 0:
             raise ValueError(f"class {i}: negative edge count")
-        classes.append(take(r * m, f"class {i} edges").reshape(m, r) - 1)
-    if pos != len(tokens):
+        edges = take(r * m, f"class {i} edges").reshape(m, r)
+        edges -= 1
+        classes.append(edges)
+    if pos != total:
         raise ValueError("trailing data after the last declared edge")
     return Hypergraph(n=n, classes=tuple(classes))

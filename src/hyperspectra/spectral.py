@@ -69,8 +69,13 @@ def eigenvalues(H: np.ndarray) -> np.ndarray:
         raise ValueError(f"need a square matrix, got shape {H.shape}")
     if not np.isfinite(H).all():
         raise ValueError("matrix entries must be finite")
-    if H.shape[0] > 1 and np.abs(H - H.T).max() > _SYMMETRY_TOL:
-        raise ValueError("matrix is not symmetric within 1e-12")
+    if H.shape[0] > 1:
+        # one n x n temporary, made absolute in place, freed before eigvalsh
+        asym = H - H.T
+        np.abs(asym, out=asym)
+        if asym.max() > _SYMMETRY_TOL:
+            raise ValueError("matrix is not symmetric within 1e-12")
+        del asym
     return np.linalg.eigvalsh(H)
 
 

@@ -41,17 +41,32 @@ def file_edge_count(path):
 
 def test_layertrace_traces_sample_and_spectrum(tmp_path, capsys):
     tracer = load_layertrace().Tracer()
-    model = ["--n", "8", "--r", "2,3", "--p", "0.5,0.2", "--seed", "3"]
-    model += ["--out", str(tmp_path), "--quiet"]
+    # large enough (about 2 MiB of text) that the reader's peak is not
+    # fixed overhead
+    model = ["--n", "300", "--r", "2,4", "--p", "0.1,4e-4", "--seed", "3"]
+    path = tmp_path / "hypergraph.txt"
+
+    def round_trip(out):
+        args = [*model, "--out", str(out), "--quiet"]
+        assert hyperspectra.cli.main(["sample", *args]) == 0
+        assert hyperspectra.cli.main(["spectrum", str(out / "hypergraph.txt"), *args]) == 0
+
     tracer.install(MODULES)
     try:
-        assert hyperspectra.cli.main(["sample", *model]) == 0
-        path = tmp_path / "hypergraph.txt"
-        assert hyperspectra.cli.main(["spectrum", str(path), *model]) == 0
+        round_trip(tmp_path)
+        # the benchmark's memory round: tracemalloc inside the watched spans
+        tracer.memory = True
+        tracer.run_id = "memory"
+        round_trip(tmp_path / "memory")
     finally:
         tracer.uninstall()
     capsys.readouterr()
     edges = file_edge_count(path)
     assert edges > 0
     assert tracer.counts["hypergraph.edges"] == edges
-    assert tracer.layer_metrics(1, 1)["hypergraph.adjacency.s"] > 0
+    metrics = tracer.layer_metrics(1, 1)
+    assert metrics["hypergraph.adjacency.s"] > 0
+    assert metrics["hypergraph.text_mib"] > 1.0
+    assert metrics["hypergraph.adjacency.peak_mib"] > 0
+    reader_peak = metrics["hypergraph.read_hypergraph_text.peak_mib"]
+    assert 0 < reader_peak <= 6.0 * metrics["hypergraph.text_mib"]

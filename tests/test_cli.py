@@ -278,6 +278,14 @@ def test_spectrum_huge_integer_exit(tmp_path, capsys):
     assert "bad integer" in capsys.readouterr().err
 
 
+def test_spectrum_digit_separator_exit(tmp_path, capsys):
+    # int() reads "0_2" as 2; the file grammar is [+-]?[0-9]+
+    hpath = tmp_path / "h.txt"
+    hpath.write_text("5 1\n2 1\n1 0_2\n")
+    assert main(["spectrum", str(hpath), "--n", "5", "--r", "2", "--p", "0.5"]) == 2
+    assert "bad integer" in capsys.readouterr().err
+
+
 def test_spectrum_csv_precision(tmp_path, capsys):
     assert main(
         ["sample", "--n", "30", "--r", "3", "--p", "0.1", "--seed", "8", "--out", str(tmp_path)]

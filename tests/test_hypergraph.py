@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hyperspectra import (
     sample_hypergraph,
     write_hypergraph_text,
 )
+import hyperspectra.hypergraph as hypergraph_module
 from hyperspectra.hypergraph import _bernoulli_ranks, _binomial_table, _unrank
 
 
@@ -267,6 +269,28 @@ def test_adjacency_symmetry_sampled():
         assert (np.diag(A) == 0).all()
 
 
+def traced_peak_mib(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_adjacency_blocks_bound_memory(monkeypatch):
+    # at fixed n, pair-key scratch must not grow with the edge count
+    small = sample_hypergraph(ModelParams.of(100, [3], [0.125]), seed=1)
+    large = sample_hypergraph(ModelParams.of(100, [3], [0.5]), seed=1)
+    whole = [adjacency(small), adjacency(large)]
+    monkeypatch.setattr(hypergraph_module, "_ADJACENCY_BLOCK_KEYS", 1024)
+    assert np.array_equal(adjacency(small), whole[0])
+    assert np.array_equal(adjacency(large), whole[1])
+    assert large.edge_counts[0] > 3.5 * small.edge_counts[0]
+    peaks = [traced_peak_mib(adjacency, h) for h in (small, large)]
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
 def test_center_scale_catalog():
     params = ModelParams.of(3, [2], [0.5])
     A = np.ones((3, 3), dtype=np.uint32) - np.eye(3, dtype=np.uint32)
@@ -325,23 +349,106 @@ def test_text_format_roundtrip(tmp_path):
             assert np.array_equal(x, y)
 
 
+EDGE_ROW = b"5 1\n2 1\n1 %s\n"
+LONG = b"5" * 20
+# (file, (n, 0-based edge rows) if accepted, else the exact error message);
+# every outcome but the 0_2 one is the same as with bytes.split() and int()
+READER_CASES = [
+    (EDGE_ROW % b"9", "class 0: vertex index outside 0..4"),
+    (b"5 1\n2 2\n1 2\n", "truncated hypergraph file: expected class 0 edges"),
+    (b"5 1\n2 1\n1 2\n7\n", "trailing data after the last declared edge"),
+    # tokens after a bad one still count
+    (b"5 1\n2 3\n1 x\n1 2\n", "truncated hypergraph file: expected class 0 edges"),
+    (b"5 1\n2 2\n1 x\n1 2\n", "bad integer in hypergraph file near class 0 edges"),
+    (b"5 1\n2 1\n1 2\nx 7\n", "trailing data after the last declared edge"),
+    # would wrap to vertex 2 in int32
+    (EDGE_ROW % b"4294967298", "class 0: vertex index outside 0..4"),
+    (EDGE_ROW % b"+2", (5, [[0, 1]])),
+    (b"+5 1\n+2 +1\n+1 +3\n", (5, [[0, 2]])),
+    (EDGE_ROW % b"-0", "class 0: vertex index outside 0..4"),
+    (b"-0 1\n2 1\n1 2\n", "need an integer vertex count n >= 2, got 0"),
+    (EDGE_ROW % b"-", "bad integer in hypergraph file near class 0 edges"),
+    (EDGE_ROW % b"+", "bad integer in hypergraph file near class 0 edges"),
+    (b"- 1\n2 1\n1 2\n", "bad integer in hypergraph file near header 'n k'"),
+    (b"5 1\n2 +\n1 2\n", "bad integer in hypergraph file near class 0 header 'r m'"),
+    *(
+        (EDGE_ROW % (sign + digits), "bad integer in hypergraph file near class 0 edges")
+        for sign in (b"+-", b"--", b"-+")
+        for digits in (b"5", LONG)
+    ),
+    (EDGE_ROW % b"0002", (5, [[0, 1]])),
+    (EDGE_ROW % (b"0" * 26 + b"2"), (5, [[0, 1]])),
+    (b"5 1\n2 1\n1 -" + b"0" * 30 + b"3\n", "class 0: vertex index outside 0..4"),
+    (b"9223372036854775807 1\n2 1\n1 2\n", (9223372036854775807, [[0, 1]])),
+    (EDGE_ROW % b"9223372036854775807", "class 0: vertex index outside 0..4"),
+    (EDGE_ROW % b"9223372036854775808", "bad integer in hypergraph file near class 0 edges"),
+    (EDGE_ROW % b"-9223372036854775809", "bad integer in hypergraph file near class 0 edges"),
+    (
+        b"-9223372036854775808 1\n2 1\n1 2\n",
+        "need an integer vertex count n >= 2, got -9223372036854775808",
+    ),
+    (b"5 1\n-9223372036854775808 1\n", "class 0: size -9223372036854775808 below 2"),
+    (EDGE_ROW % b"1111111111111111111", "class 0: vertex index outside 0..4"),
+    (EDGE_ROW % (b"-" + b"1" * 5000), "bad integer in hypergraph file near class 0 edges"),
+    (EDGE_ROW % b"\xd9\xa3", "bad integer in hypergraph file near class 0 edges"),
+    (EDGE_ROW % b"\xef\xbc\x95", "bad integer in hypergraph file near class 0 edges"),
+    # a digit separator, which int() accepts
+    (EDGE_ROW % b"0_2", "bad integer in hypergraph file near class 0 edges"),
+    (b"5\t1\x0b2\x0c1\r1\n \t2", (5, [[0, 1]])),
+    (b"5 1\n2 1\n1 2", (5, [[0, 1]])),
+    (b"\r\n5 1 2 1 1 2 \n\n", (5, [[0, 1]])),
+    (b"", "truncated hypergraph file: expected header 'n k'"),
+    (b" \n\t", "truncated hypergraph file: expected header 'n k'"),
+    (b"5 1\n2 1\n1\x1c2 3\n", "bad integer in hypergraph file near class 0 edges"),
+    (b"5 1\n2 1\n1 2\x85\n", "bad integer in hypergraph file near class 0 edges"),
+    (b"5 1\n2 1\n1 2\n\x1c\n", "trailing data after the last declared edge"),
+    (b"5 1\n2 2\n1 2\n-", "truncated hypergraph file: expected class 0 edges"),
+    (b"5 2\n2 1\n1 2\n", "truncated hypergraph file: expected class 1 header 'r m'"),
+    (b"5 1\n2 2\n1 2\n1", "truncated hypergraph file: expected class 0 edges"),
+]
+
+
+def read_outcome(path):
+    try:
+        h = read_hypergraph_text(path)
+    except ValueError as exc:
+        return str(exc)
+    return (h.n, *(edges.tolist() for edges in h.classes))
+
+
 def test_text_format_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("5 1\n2 1\n1 9\n")  # vertex out of range
-    with pytest.raises(ValueError):
-        read_hypergraph_text(path)
-    path.write_text("5 1\n2 2\n1 2\n")  # missing second edge row
-    with pytest.raises(ValueError):
-        read_hypergraph_text(path)
-    path.write_text("5 1\n2 1\n1 2\n7\n")  # trailing tokens
-    with pytest.raises(ValueError):
-        read_hypergraph_text(path)
-    path.write_text("5 1\n2 1\n1 99999999999999999999\n")  # beyond int64
-    with pytest.raises(ValueError, match="bad integer"):
-        read_hypergraph_text(path)
-    path.write_text("5 1\n2 1\n1 4294967298\n")  # would wrap to vertex 2 in int32
-    with pytest.raises(ValueError):
-        read_hypergraph_text(path)
-    path.write_text("5 1\n2 1\n1 \xd9\xa3\n")  # non-ASCII digit
-    with pytest.raises(ValueError, match="bad integer"):
-        read_hypergraph_text(path)
+    path = tmp_path / "case.txt"
+    for raw, want in READER_CASES:
+        path.write_bytes(raw)
+        assert read_outcome(path) == want, raw
+
+
+def test_text_reader_block_edges(tmp_path, monkeypatch):
+    # blocks of a few bytes put token boundaries on every possible offset,
+    # and the 20- and 5000-digit tokens of READER_CASES outgrow a block
+    files = [raw for raw, _ in READER_CASES]
+    for seed in range(3):
+        h = sample_hypergraph(ModelParams.of(30, [2, 3], [0.2, 0.01]), seed=seed)
+        path = tmp_path / "h.txt"
+        write_hypergraph_text(h, path)
+        files.append(path.read_bytes())
+    path = tmp_path / "case.txt"
+    whole = []
+    for raw in files:
+        path.write_bytes(raw)
+        whole.append(read_outcome(path))
+    for block in (1, 2, 3, 7):
+        monkeypatch.setattr(hypergraph_module, "_PARSE_BLOCK", block)
+        for raw, want in zip(files, whole):
+            path.write_bytes(raw)
+            assert read_outcome(path) == want, (block, raw)
+
+
+def test_text_reader_memory_bound(tmp_path):
+    # one Python bytes object per token would cost about 15x the file
+    h = sample_hypergraph(ModelParams.of(1000, [4], [5e-6]), seed=2)
+    path = tmp_path / "h.txt"
+    write_hypergraph_text(h, path)
+    size_mib = path.stat().st_size / 2**20
+    assert size_mib > 2.0
+    assert traced_peak_mib(read_hypergraph_text, path) <= 6.0 * size_mib
