@@ -17,10 +17,11 @@ from .hypergraph import (
     center_scale,
     log_expected_edges,
     read_hypergraph_text,
+    sample_adjacency_batches,
     sample_hypergraph,
     write_hypergraph_text,
 )
-from .oracle import exact_covariances, exact_eesd_moments
+from .oracle import ExactCovariances, ExactMoments, exact_covariances, exact_eesd_moments
 from .spectral import (
     EmpiricalMeasure,
     SemicircleLaw,
@@ -63,6 +64,8 @@ __all__ = [
     "CovarianceProfile",
     "DegenerateModelError",
     "EmpiricalMeasure",
+    "ExactCovariances",
+    "ExactMoments",
     "Hypergraph",
     "ModelParams",
     "Regime",
@@ -93,6 +96,7 @@ __all__ = [
     "pastur_lhs_gaussian",
     "predicted_variance",
     "read_hypergraph_text",
+    "sample_adjacency_batches",
     "sample_hypergraph",
     "sample_surrogate",
     "semicircle_cdf",

@@ -41,6 +41,7 @@ from .hypergraph import (
     center_scale,
     log_expected_edges,
     read_hypergraph_text,
+    sample_adjacency_batches,
     sample_hypergraph,
     write_hypergraph_text,
 )
@@ -554,6 +555,20 @@ def run_montecarlo(cfg: dict, force_engine: str | None = None) -> dict:
 # verify
 
 
+# Two-sided normal quantile (4.0556, rounded up) for a family-wise
+# false-alarm rate of 1e-4 over the two Monte Carlo checks, Bonferroni-split:
+# P(|Z| > z) = 5e-5 each.
+_VERIFY_Z = 4.056
+
+
+def _trace_moments(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(1/n) trace(H^2) and (1/n) trace(H^4) of each matrix of a (t, n, n)
+    stack of symmetric matrices."""
+    n = H.shape[-1]
+    H2 = H @ H
+    return np.einsum("tii->t", H2) / n, np.einsum("tij,tij->t", H2, H2) / n
+
+
 def run_verify(cfg: dict) -> dict:
     params = _params_from_config(cfg)
     max_edges = cfg["budget"]["max_edges"]
@@ -578,9 +593,9 @@ def run_verify(cfg: dict) -> dict:
             }
         )
 
-    moments = exact_eesd_moments(params, max_k=4)
-    check("oracle_m1_zero", moments[0], 0.0, 1e-12)
-    check("oracle_m2_identity", moments[1], (n - 1) / n, 1e-12)
+    exact = exact_eesd_moments(params, max_k=4)
+    check("oracle_m1_zero", exact.moments[0], 0.0, 1e-12)
+    check("oracle_m2_identity", exact.moments[1], (n - 1) / n, 1e-12)
 
     covs = exact_covariances(params)
     shared_closed = profile.gamma_n * stats.sigma_sq
@@ -598,21 +613,16 @@ def run_verify(cfg: dict) -> dict:
         1e-12 * max(1.0, abs(disjoint_closed)),
     )
 
-    m2s = np.empty(trials)
-    m4s = np.empty(trials)
-    for t in range(trials):
-        h = sample_hypergraph(params, _trial_seed(seed, t), max_edges)
-        H = center_scale(adjacency(h), params)
-        H2 = H @ H
-        m2s[t] = np.trace(H2) / n
-        m4s[t] = np.sum(H2 * H2) / n
-    for name, sample_vals, target in (
-        ("montecarlo_m2_vs_oracle", m2s, moments[1]),
-        ("montecarlo_m4_vs_oracle", m4s, moments[3]),
+    batches = sample_adjacency_batches(params, seed, trials, max_edges)
+    m2s, m4s = map(np.concatenate, zip(*(_trace_moments(center_scale(A, params)) for A in batches)))
+    for name, k, sample_vals in (
+        ("montecarlo_m2_vs_oracle", 2, m2s),
+        ("montecarlo_m4_vs_oracle", 4, m4s),
     ):
-        se = float(np.std(sample_vals, ddof=1) / math.sqrt(trials))
+        target = exact.moments[k - 1]
+        se = math.sqrt(exact.variance(k) / trials)
         # floor absorbs rounding when the statistic is deterministic (se = 0)
-        tol = 3.0 * se + 1e-12 * max(1.0, abs(target))
+        tol = _VERIFY_Z * se + 1e-12 * max(1.0, abs(target))
         check(name, float(np.mean(sample_vals)), target, tol)
 
     return {

@@ -24,6 +24,7 @@ __all__ = [
     "Hypergraph",
     "log_expected_edges",
     "sample_hypergraph",
+    "sample_adjacency_batches",
     "adjacency",
     "center_scale",
     "write_hypergraph_text",
@@ -35,15 +36,17 @@ MAX_EDGES = 10_000_000
 
 
 def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
-    """Collapse each edge row to a single comparable key for dedup."""
+    """Collapse each edge row to a single comparable key for dedup, in a new
+    array that the caller may sort in place."""
     m, r = rows.shape
     if r * math.log2(max(n, 2)) <= 62.0:
         keys = rows[:, 0].astype(np.int64)
         for j in range(1, r):
-            keys = keys * n + rows[:, j]
+            keys *= n
+            keys += rows[:, j]
         return keys
     flat = np.ascontiguousarray(rows)
-    return flat.view([("", flat.dtype)] * r).ravel()
+    return flat.view([("", flat.dtype)] * r).ravel().copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,10 +80,13 @@ class Hypergraph:
                 raise ValueError(f"class {i}: vertex index outside 0..{self.n - 1}")
             edges = np.ascontiguousarray(edges, dtype=np.int32)
             if edges.shape[0]:
-                if not np.all(np.diff(edges, axis=1) > 0):
-                    raise ValueError(f"class {i}: edge rows must be strictly ascending")
+                # one column pair at a time: no (m, r - 1) difference array
+                for j in range(r - 1):
+                    if not (edges[:, j + 1] > edges[:, j]).all():
+                        raise ValueError(f"class {i}: edge rows must be strictly ascending")
                 # sort, not np.unique: unique's hash-table path is ~80x slower here
-                keys = np.sort(_row_keys(edges, self.n))
+                keys = _row_keys(edges, self.n)
+                keys.sort()
                 if (keys[1:] == keys[:-1]).any():
                     raise ValueError(f"class {i}: duplicate edges")
             edges.setflags(write=False)
@@ -192,6 +198,50 @@ def log_expected_edges(params: ModelParams) -> float:
     )
 
 
+def _check_budget(params: ModelParams, max_edges: int) -> None:
+    """Refuse models whose expected total edge count exceeds max_edges,
+    checked in log space before anything is drawn."""
+    if max_edges < 1:
+        raise ValueError(f"max_edges must be >= 1, got {max_edges}")
+    log_expected = log_expected_edges(params)
+    if log_expected > math.log(max_edges):
+        raise BudgetExceededError(
+            f"expected edge count exp({log_expected:.3f}) exceeds "
+            f"budget.max_edges = {max_edges}",
+            log_expected,
+        )
+
+
+def _draw_classes(
+    rng: np.random.Generator, params: ModelParams, trials: int
+) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Per class, the rows of ``trials`` independent draws and each row's
+    trial (None when trials = 1).
+
+    A Bernoulli(p) walk over the ranks [0, trials * C(n, r)) is exactly
+    ``trials`` independent draws of the class: rank rho belongs to trial
+    rho // C(n, r) and is the subset of colex rank rho % C(n, r).  Rows come
+    out grouped by trial, each group in ascending rank order.
+    """
+    n = params.n
+    parts = []
+    for r, p in params.classes:
+        trial = np.empty(0, dtype=np.int64)
+        if p == 0.0:
+            edges = np.empty((0, r), dtype=np.int32)
+        elif trials * (pop := math.comb(n, r)) < _RANK_LIMIT:
+            ranks = _bernoulli_ranks(rng, trials * pop, p)
+            if trials > 1:
+                trial, ranks = np.divmod(ranks, pop)
+            edges = _unrank(ranks, n, r)
+        elif trials == 1:
+            edges = _poisson_subsets(rng, n, r, p)
+        else:
+            raise ValueError(f"{trials} trials of C({n}, {r}) subsets exceed 2^62 ranks")
+        parts.append((edges, trial if trials > 1 else None))
+    return parts
+
+
 def sample_hypergraph(
     params: ModelParams,
     seed: int,
@@ -204,27 +254,39 @@ def sample_hypergraph(
     checked in log space before anything is drawn.  Identical
     (params, seed, max_edges) give a bit-identical result.
     """
-    if max_edges < 1:
-        raise ValueError(f"max_edges must be >= 1, got {max_edges}")
-    log_expected = log_expected_edges(params)
-    if log_expected > math.log(max_edges):
-        raise BudgetExceededError(
-            f"expected edge count exp({log_expected:.3f}) exceeds "
-            f"budget.max_edges = {max_edges}",
-            log_expected,
-        )
+    _check_budget(params, max_edges)
+    rng = np.random.default_rng(seed)
+    parts = _draw_classes(rng, params, 1)
+    return Hypergraph(n=params.n, classes=tuple(edges for edges, _ in parts))
+
+
+# float64 bytes of one batch's (trials, n, n) stack in sample_adjacency_batches
+_TRIAL_BATCH_BYTES = 2**18
+
+
+def sample_adjacency_batches(
+    params: ModelParams,
+    seed: int,
+    trials: int,
+    max_edges: int = MAX_EDGES,
+):
+    """Pair-count matrices of ``trials`` independent draws from the model,
+    yielded as (t, n, n) int64 stacks, batch by batch.
+
+    All batches come from one stream seeded by ``seed``, each class of a
+    batch from one rank walk; a batch holds as many trials as fit
+    ``_TRIAL_BATCH_BYTES`` as float64, at least one.  A one-trial draw
+    consumes the stream exactly as ``sample_hypergraph`` does.  The budget
+    refusal is that of ``sample_hypergraph``, per trial.  Needs
+    trials * C(n, r_i) < 2^62 per batch.
+    """
+    _check_budget(params, max_edges)
     rng = np.random.default_rng(seed)
     n = params.n
-    classes = []
-    for r, p in params.classes:
-        if p == 0.0:
-            edges = np.empty((0, r), dtype=np.int32)
-        elif (pop := math.comb(n, r)) < _RANK_LIMIT:
-            edges = _unrank(_bernoulli_ranks(rng, pop, p), n, r)
-        else:
-            edges = _poisson_subsets(rng, n, r, p)
-        classes.append(edges)
-    return Hypergraph(n=n, classes=tuple(classes))
+    batch = max(_TRIAL_BATCH_BYTES // (8 * n * n), 1)
+    for start in range(0, trials, batch):
+        size = min(batch, trials - start)
+        yield _pair_counts(_draw_classes(rng, params, size), n, size)
 
 
 @functools.lru_cache(maxsize=64)
@@ -233,48 +295,62 @@ def _pair_columns(r: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(r, 1)
 
 
-# pair keys per bincount block, raised to n^2 for large n: bounds adjacency's
-# key scratch by the n x n result and keeps each block's n^2 bincount amortized
+# pair keys per bincount block, raised to the output size for large n: bounds
+# the key scratch by the result and keeps each block's bincount amortized
 _ADJACENCY_BLOCK_KEYS = 2**20
+
+
+def _pair_counts(
+    parts: list[tuple[np.ndarray, np.ndarray | None]], n: int, trials: int = 1
+) -> np.ndarray:
+    """(trials, n, n) symmetric pair-count matrices with zero diagonals.
+
+    ``parts`` holds edge rows and each row's trial (None: all in trial 0).
+    Entry (t, u, v) counts trial t's rows containing both u and v, from one
+    bincount over the keys t n^2 + u n + v, u < v.  Keys are built in blocks
+    of rows, so scratch memory does not grow with the edge count.
+    """
+    counts = np.zeros(trials * n * n, dtype=np.int64)
+    for edges, trial in parts:
+        iu, iv = _pair_columns(edges.shape[1])
+        rows = max(max(_ADJACENCY_BLOCK_KEYS, counts.size) // iu.size, 1)
+        for start in range(0, edges.shape[0], rows):
+            block = edges[start : start + rows]
+            keys = block[:, iu].astype(np.int64)
+            keys *= n
+            keys += block[:, iv]
+            if trial is not None:
+                keys += trial[start : start + rows, None] * (n * n)
+            counts += np.bincount(keys.ravel(), minlength=counts.size)
+    upper = counts.reshape(trials, n, n)
+    return upper + upper.transpose(0, 2, 1)
 
 
 def adjacency(h: Hypergraph) -> np.ndarray:
     """Dense symmetric pair-count matrix with zero diagonal, int64.
 
     Entry (u, v) counts the hyperedges containing both u and v, summed over
-    classes.  Cost is O(sum_i m_i r_i^2) plus one dense n x n buffer; pair
-    keys are built in blocks of edge rows, so scratch memory does not grow
-    with the edge count.
+    classes.  Cost is O(sum_i m_i r_i^2) plus one dense n x n buffer.
     """
-    n = h.n
-    counts = np.zeros(n * n, dtype=np.int64)
-    for edges in h.classes:
-        iu, iv = _pair_columns(edges.shape[1])
-        rows = max(max(_ADJACENCY_BLOCK_KEYS, n * n) // iu.size, 1)
-        for start in range(0, edges.shape[0], rows):
-            block = edges[start : start + rows]
-            keys = block[:, iu].astype(np.int64)
-            keys *= n
-            keys += block[:, iv]
-            counts += np.bincount(keys.ravel(), minlength=n * n)
-    upper = counts.reshape(n, n)
-    return upper + upper.T
+    return _pair_counts([(edges, None) for edges in h.classes], h.n)[0]
 
 
 def center_scale(A: np.ndarray, params: ModelParams) -> np.ndarray:
     """Centered, scaled matrix H = (A - mu) / sqrt(n sigma^2) off-diagonal,
-    zero on the diagonal."""
+    zero on the diagonal; A is one n x n matrix or a (..., n, n) stack."""
     A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {A.shape}")
-    if A.shape[0] != params.n:
-        raise ValueError(f"matrix is {A.shape[0]} x {A.shape[0]} but params.n = {params.n}")
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ValueError(f"need a square matrix or a stack of them, got shape {A.shape}")
+    n = A.shape[-1]
+    if n != params.n:
+        raise ValueError(f"matrix is {n} x {n} but params.n = {params.n}")
     stats = derive_stats(params)
     scale_sq = params.n * stats.sigma_sq
     if not math.isfinite(scale_sq) or scale_sq <= 0.0:
         raise ValueError(f"scale sqrt(n sigma^2) not representable: n sigma^2 = {scale_sq}")
     H = (A.astype(np.float64) - stats.mu) / math.sqrt(scale_sq)
-    np.fill_diagonal(H, 0.0)
+    diag = np.arange(n)
+    H[..., diag, diag] = 0.0
     return H
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .theory import ModelParams, derive_stats
 
-__all__ = ["ExactCovariances", "exact_eesd_moments", "exact_covariances"]
+__all__ = ["ExactCovariances", "ExactMoments", "exact_eesd_moments", "exact_covariances"]
 
 _MAX_EDGE_VARIABLES = 20
 _MAX_MOMENT = 8
@@ -49,9 +49,24 @@ def _config_batches(M: int, p_edge: np.ndarray):
         yield h, prob
 
 
-def exact_eesd_moments(params: ModelParams, max_k: int) -> tuple[float, ...]:
-    """Exact moments (m_1, ..., m_max_k) of the expected ESD of the centered,
-    scaled matrix, by full configuration enumeration.
+@dataclass(frozen=True)
+class ExactMoments:
+    """Exact moments of the per-draw traces t_k = (1/n) trace(H^k), k = 1..K:
+    ``moments[k - 1]`` = E[t_k], the EESD moment m_k, and
+    ``second_moments[k - 1]`` = E[t_k^2]."""
+
+    moments: tuple[float, ...]
+    second_moments: tuple[float, ...]
+
+    def variance(self, k: int) -> float:
+        """Var t_k, the variance of one draw's (1/n) trace(H^k)."""
+        return max(self.second_moments[k - 1] - self.moments[k - 1] ** 2, 0.0)
+
+
+def exact_eesd_moments(params: ModelParams, max_k: int) -> ExactMoments:
+    """Exact moments m_1, ..., m_max_k of the expected ESD of the centered,
+    scaled matrix, and the second moments of the traces they average, by
+    one full configuration enumeration.
 
     m_k = E[(1/n) trace(H^k)].  Needs M <= 20 and max_k <= 8.
     """
@@ -71,15 +86,21 @@ def exact_eesd_moments(params: ModelParams, max_k: int) -> tuple[float, ...]:
     EA = stats.mu * (np.ones((n, n)) - np.eye(n))
 
     acc = np.zeros(max_k + 1, dtype=np.float64)
+    acc_sq = np.zeros(max_k + 1, dtype=np.float64)
     for h, prob in _config_batches(M, p_edge):
         A = (h @ Q).reshape(-1, n, n)
         H = (A - EA) / scale
         cur = H
-        acc[1] += prob @ np.einsum("bii->b", cur)
-        for k in range(2, max_k + 1):
-            cur = cur @ H
-            acc[k] += prob @ np.einsum("bii->b", cur)
-    return tuple(float(acc[k]) / n for k in range(1, max_k + 1))
+        for k in range(1, max_k + 1):
+            if k > 1:
+                cur = cur @ H
+            trace = np.einsum("bii->b", cur)
+            acc[k] += prob @ trace
+            acc_sq[k] += prob @ (trace * trace)
+    return ExactMoments(
+        moments=tuple(float(x) / n for x in acc[1:]),
+        second_moments=tuple(float(x) / n**2 for x in acc_sq[1:]),
+    )
 
 
 @dataclass(frozen=True)

@@ -141,7 +141,7 @@ def test_acceptance_05_surrogate_covariance_fidelity():
 def test_acceptance_06_oracle_equivalence():
     t0 = time.perf_counter()
     params = ModelParams.of(4, [2, 3], [0.5, 0.5])
-    moments = exact_eesd_moments(params, max_k=4)
+    moments = exact_eesd_moments(params, max_k=4).moments
     m2_exact_ok = abs(moments[1] - 0.75) <= 1e-12
 
     covs = exact_covariances(params)

@@ -1,7 +1,8 @@
 """The benchmark's layer tracer rebinds names on ``hyperspectra.cli`` and
 ``hyperspectra.hypergraph``; every name it targets must exist and be callable,
 and a traced CLI run must still work and be counted, or a traced benchmark
-run breaks."""
+run breaks.  The benchmark's output checks must accept a fresh ``verify``
+report, or a report-schema drift fails the benchmark rather than the tests."""
 
 import importlib.util
 from pathlib import Path
@@ -9,19 +10,19 @@ from pathlib import Path
 import hyperspectra.cli
 import hyperspectra.hypergraph
 
-LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = {"cli": hyperspectra.cli, "hypergraph": hyperspectra.hypergraph}
 
 
-def load_layertrace():
-    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
-    layertrace = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layertrace)
-    return layertrace
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_layertrace_targets_resolve():
-    layertrace = load_layertrace()
+    layertrace = load_perfbench("layertrace")
     assert layertrace.TARGETS
     for module, name, _span, _peak in layertrace.TARGETS:
         assert callable(getattr(MODULES[module], name, None)), f"{module}.{name}"
@@ -40,7 +41,7 @@ def file_edge_count(path):
 
 
 def test_layertrace_traces_sample_and_spectrum(tmp_path, capsys):
-    tracer = load_layertrace().Tracer()
+    tracer = load_perfbench("layertrace").Tracer()
     # large enough (about 2 MiB of text) that the reader's peak is not
     # fixed overhead
     model = ["--n", "300", "--r", "2,4", "--p", "0.1,4e-4", "--seed", "3"]
@@ -70,3 +71,12 @@ def test_layertrace_traces_sample_and_spectrum(tmp_path, capsys):
     assert metrics["hypergraph.adjacency.peak_mib"] > 0
     reader_peak = metrics["hypergraph.read_hypergraph_text.peak_mib"]
     assert 0 < reader_peak <= 6.0 * metrics["hypergraph.text_mib"]
+
+
+def test_bench_check_verify_accepts_report():
+    checks = load_perfbench("checks")
+    model = {"n": 4, "r": [2, 3], "p": [0.5, 0.5], "trials": 3000}
+    cfg = hyperspectra.cli.resolve_config(None, {**model, "seed": 5})
+    report = hyperspectra.cli.run_verify(cfg)
+    m4_exact = checks.exact_m4(model["n"], model["r"], model["p"])
+    assert checks.check_verify(report, model, m4_exact) == []

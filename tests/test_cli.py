@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
+import hyperspectra.cli as cli_module
+import hyperspectra.hypergraph as hypergraph_module
 from hyperspectra.cli import (
     ConfigError,
     dumps,
@@ -420,6 +423,40 @@ def test_verify_report_structure():
     m2 = next(c for c in report["checks"] if c["name"] == "oracle_m2_identity")
     assert m2["expected"] == pytest.approx(0.75, abs=1e-14)
     assert all(c["ok"] for c in report["checks"])
+
+
+def test_verify_flags_biased_sampler(monkeypatch, capsys):
+    # The walk with gaps clipped at pop rather than pop + 1 can never leave
+    # a class empty: where the exact walk keeps no rank it keeps rank pop - 1.
+    # At n = 4 that moves MC m4 from 1.2708 to about 1.11, some 11 sd.
+    exact_walk = hypergraph_module._bernoulli_ranks
+
+    def never_empty(rng, pop, p):
+        ranks = exact_walk(rng, pop, p)
+        return ranks if ranks.size else np.array([pop - 1], dtype=np.int64)
+
+    monkeypatch.setattr(hypergraph_module, "_bernoulli_ranks", never_empty)
+    # one trial per batch, so each walk covers one trial's ranks
+    monkeypatch.setattr(hypergraph_module, "_TRIAL_BATCH_BYTES", 8 * 4 * 4)
+    argv = ["verify", "--n", "4", "--r", "2,3", "--p", "0.5,0.5", "--trials", "10000"]
+    assert main([*argv, "--seed", "2", "--quiet"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    failed = {c["name"] for c in report["checks"] if not c["ok"]}
+    assert "montecarlo_m4_vs_oracle" in failed
+
+
+def test_verify_decision_quantile():
+    # family-wise false-alarm rate 1e-4 over two two-sided checks
+    z = sps.norm.isf(1e-4 / 4)
+    assert z <= cli_module._VERIFY_Z <= z + 1e-3
+
+
+def test_verify_budget_exit(capsys):
+    # expected 5 edges per trial against a budget of 1
+    argv = ["verify", "--n", "4", "--r", "2,3", "--p", "0.5,0.5", "--trials", "10"]
+    assert main([*argv, "--max-edges", "1"]) == 4
+    capsys.readouterr()
 
 
 def test_verify_rejects_oversized_model(capsys):

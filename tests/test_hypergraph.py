@@ -20,7 +20,15 @@ from hyperspectra import (
     write_hypergraph_text,
 )
 import hyperspectra.hypergraph as hypergraph_module
-from hyperspectra.hypergraph import _bernoulli_ranks, _binomial_table, _unrank
+from hyperspectra.cli import _trace_moments
+from hyperspectra.hypergraph import (
+    _bernoulli_ranks,
+    _binomial_table,
+    _draw_classes,
+    _pair_counts,
+    _unrank,
+    sample_adjacency_batches,
+)
 
 
 def hypergraph_of(n, *classes):
@@ -53,6 +61,16 @@ def test_hypergraph_rejects_bad_rows():
         hypergraph_of(4, (3, [[0, 1, 2]]), (2, [[0, 1]]))  # class order
     with pytest.raises(ValueError):
         Hypergraph(n=4, classes=(np.array([0, 1]),))  # not an (m, r) array
+
+
+def test_hypergraph_validation_memory_bound():
+    # the reader hands over int64 rows; checking them must cost less than
+    # they do (a (m, r - 1) difference array and key temporaries cost 1.0x)
+    h = sample_hypergraph(ModelParams.of(300, [4], [6e-4]), seed=4)
+    edges = h.classes[0].astype(np.int64)
+    assert edges.shape[0] > 150_000
+    peak = traced_peak_mib(Hypergraph, 300, (edges,))
+    assert peak <= 0.85 * edges.nbytes / 2**20, peak
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +256,75 @@ def test_sample_near_complete_thinning():
     assert h.edge_counts[0] > 0.9 * pop
     rows = h.classes[0]
     assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
+
+
+# ---------------------------------------------------------------------------
+# batched trials
+
+
+def test_batched_trials_match_single_trial_path():
+    params = ModelParams.of(5, [2, 3], [0.5, 0.3])
+    n, trials = params.n, 60
+    parts = _draw_classes(np.random.default_rng(8), params, trials)
+    stack = _pair_counts(parts, n, trials)
+    assert np.array_equal(next(sample_adjacency_batches(params, 8, trials)), stack)
+    H = center_scale(stack, params)
+    m2, m4 = _trace_moments(H)
+    for t in range(trials):
+        # the trial's rows must form a valid hypergraph on their own
+        h = Hypergraph(n=n, classes=tuple(edges[trial == t] for edges, trial in parts))
+        A = adjacency(h)
+        assert np.array_equal(stack[t], A)
+        Ht = center_scale(A, params)
+        assert np.array_equal(H[t], Ht)
+        H2 = Ht @ Ht
+        assert m2[t] == pytest.approx(np.trace(H2) / n, abs=1e-12)
+        assert m4[t] == pytest.approx(np.sum(H2 * H2) / n, abs=1e-12)
+    # one trial consumes the stream exactly as sample_hypergraph does
+    for seed in range(5):
+        (one,) = sample_adjacency_batches(params, seed, 1)
+        assert np.array_equal(one[0], adjacency(sample_hypergraph(params, seed)))
+
+
+def pooled_chisquare_pvalue(observed, expected):
+    """Chi-square p-value after folding every cell expecting < 5 into one."""
+    keep = expected >= 5
+    obs = np.append(observed[keep], observed[~keep].sum())
+    exp = np.append(expected[keep], expected[~keep].sum())
+    return sps.chisquare(obs, exp).pvalue
+
+
+def test_batched_trials_law(monkeypatch):
+    # n = 5, r = 2: a trial's adjacency is its edge set, one of 2^10
+    p, trials, batch = 0.5, 42_000, 7
+    params = ModelParams.of(5, [2], [p])
+    iu, iv = np.triu_indices(5, 1)
+    bits = 1 << np.arange(10)
+    present = {}
+    for label, batch_bytes in (("default", None), ("small", 8 * 25 * batch)):
+        if batch_bytes is not None:
+            monkeypatch.setattr(hypergraph_module, "_TRIAL_BATCH_BYTES", batch_bytes)
+        stacks = list(sample_adjacency_batches(params, 11, trials))
+        if batch_bytes is not None:
+            assert {A.shape[0] for A in stacks} == {batch}
+        present[label] = np.concatenate([A[:, iu, iv] for A in stacks])
+    # each trial's edge set: all 2^10 sets equally likely at p = 1/2
+    for label, edges in present.items():
+        observed = np.bincount(edges @ bits, minlength=1024)
+        assert sps.chisquare(observed).pvalue > 0.001, label
+    # edge counts of adjacent trials, inside a batch and across a batch edge,
+    # and of the same slot in consecutive batches are independent Binomial(10, p)
+    counts = present["small"].sum(axis=1)
+    pmf = sps.binom.pmf(np.arange(11), 10, p)
+    straddles = np.arange(trials - 1) % batch == batch - 1
+    for label, first, second in (
+        ("inside", counts[:-1][~straddles], counts[1:][~straddles]),
+        ("straddling", counts[:-1][straddles], counts[1:][straddles]),
+        ("next batch", counts[:-batch], counts[batch:]),
+    ):
+        observed = np.bincount(first * 11 + second, minlength=121)
+        expected = first.size * np.outer(pmf, pmf).ravel()
+        assert pooled_chisquare_pvalue(observed, expected) > 0.001, label
 
 
 # ---------------------------------------------------------------------------

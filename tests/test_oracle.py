@@ -1,5 +1,6 @@
 """Brute-force oracle: exact EESD moments and entry covariances on tiny models."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,10 +18,10 @@ from hyperspectra import (
 def test_moments_second_moment_identity():
     # m2 = (n-1)/n for any centered, scaled model
     m = exact_eesd_moments(ModelParams.of(3, [2], [0.5]), max_k=2)
-    assert m[1] == pytest.approx(2.0 / 3.0, abs=1e-13)
+    assert m.moments[1] == pytest.approx(2.0 / 3.0, abs=1e-13)
 
     m = exact_eesd_moments(ModelParams.of(4, [2, 3], [0.5, 0.5]), max_k=2)
-    assert m[1] == pytest.approx(3.0 / 4.0, abs=1e-13)
+    assert m.moments[1] == pytest.approx(3.0 / 4.0, abs=1e-13)
 
 
 def test_moments_first_vanishes():
@@ -30,7 +31,7 @@ def test_moments_first_vanishes():
         ModelParams.of(4, [2, 3], [0.75, 0.5]),
     ):
         m = exact_eesd_moments(params, max_k=1)
-        assert m[0] == pytest.approx(0.0, abs=1e-13)
+        assert m.moments[0] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_moments_identity_randomized_tiny():
@@ -42,7 +43,35 @@ def test_moments_identity_randomized_tiny():
         if math.comb(n, r) > 20:
             continue
         m = exact_eesd_moments(ModelParams.of(n, [r], [p]), max_k=2)
-        assert m[1] == pytest.approx((n - 1) / n, abs=1e-12)
+        assert m.moments[1] == pytest.approx((n - 1) / n, abs=1e-12)
+
+
+def test_trace_second_moments_match_loop():
+    # one configuration at a time: E[t_k] and E[t_k^2] for t_k = tr(H^k)/n
+    params = ModelParams.of(4, [2, 3], [0.25, 0.6])
+    n = params.n
+    stats = derive_stats(params)
+    edges = [(p, e) for r, p in params.classes for e in itertools.combinations(range(n), r)]
+    mean = np.zeros(4)
+    square = np.zeros(4)
+    for present in itertools.product((0, 1), repeat=len(edges)):
+        prob = 1.0
+        A = np.zeros((n, n))
+        for bit, (p, e) in zip(present, edges):
+            prob *= p if bit else 1.0 - p
+            for u, v in itertools.combinations(e, 2):
+                A[u, v] += bit
+                A[v, u] += bit
+        H = (A - stats.mu) / math.sqrt(n * stats.sigma_sq)
+        np.fill_diagonal(H, 0.0)
+        t = np.array([np.trace(np.linalg.matrix_power(H, k)) / n for k in range(1, 5)])
+        mean += prob * t
+        square += prob * t * t
+    got = exact_eesd_moments(params, max_k=4)
+    assert got.moments == pytest.approx(mean, abs=1e-12)
+    assert got.second_moments == pytest.approx(square, abs=1e-12)
+    for k in range(1, 5):
+        assert got.variance(k) == pytest.approx(square[k - 1] - mean[k - 1] ** 2, abs=1e-12)
 
 
 def test_moments_refuse_large():
