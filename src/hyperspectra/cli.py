@@ -45,7 +45,7 @@ from .hypergraph import (
     sample_hypergraph,
     write_hypergraph_text,
 )
-from .oracle import exact_covariances, exact_eesd_moments
+from .oracle import check_oracle_domain, exact_covariances, exact_eesd_moments
 from .spectral import (
     SemicircleLaw,
     average_esd,
@@ -593,6 +593,10 @@ def run_verify(cfg: dict) -> dict:
             }
         )
 
+    # every refusal comes before the enumeration: oracle domain, then budget
+    check_oracle_domain(params)
+    batches = sample_adjacency_batches(params, seed, trials, max_edges)
+
     exact = exact_eesd_moments(params, max_k=4)
     check("oracle_m1_zero", exact.moments[0], 0.0, 1e-12)
     check("oracle_m2_identity", exact.moments[1], (n - 1) / n, 1e-12)
@@ -613,7 +617,6 @@ def run_verify(cfg: dict) -> dict:
         1e-12 * max(1.0, abs(disjoint_closed)),
     )
 
-    batches = sample_adjacency_batches(params, seed, trials, max_edges)
     m2s, m4s = map(np.concatenate, zip(*(_trace_moments(center_scale(A, params)) for A in batches)))
     for name, k, sample_vals in (
         ("montecarlo_m2_vs_oracle", 2, m2s),

@@ -277,16 +277,16 @@ def sample_adjacency_batches(
     batch from one rank walk; a batch holds as many trials as fit
     ``_TRIAL_BATCH_BYTES`` as float64, at least one.  A one-trial draw
     consumes the stream exactly as ``sample_hypergraph`` does.  The budget
-    refusal is that of ``sample_hypergraph``, per trial.  Needs
-    trials * C(n, r_i) < 2^62 per batch.
+    refusal is that of ``sample_hypergraph``, per trial, and comes at the
+    call, before any batch is drawn.  Needs trials * C(n, r_i) < 2^62 per
+    batch.
     """
     _check_budget(params, max_edges)
     rng = np.random.default_rng(seed)
     n = params.n
     batch = max(_TRIAL_BATCH_BYTES // (8 * n * n), 1)
-    for start in range(0, trials, batch):
-        size = min(batch, trials - start)
-        yield _pair_counts(_draw_classes(rng, params, size), n, size)
+    sizes = (min(batch, left) for left in range(trials, 0, -batch))
+    return (_pair_counts(_draw_classes(rng, params, size), n, size) for size in sizes)
 
 
 @functools.lru_cache(maxsize=64)

@@ -459,6 +459,19 @@ def test_verify_budget_exit(capsys):
     capsys.readouterr()
 
 
+def test_verify_refuses_before_enumerating(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("oracle called before a refusal")
+
+    monkeypatch.setattr(cli_module, "exact_eesd_moments", never)
+    monkeypatch.setattr(cli_module, "exact_covariances", never)
+    argv = ["verify", "--n", "5", "--r", "2,3", "--p", "0.5,0.5", "--trials", "10000"]
+    assert main([*argv, "--max-edges", "1"]) == 4
+    # one possible hyperedge, but n = 9 is outside the covariance oracle's 4..8
+    assert main(["verify", "--n", "9", "--r", "9", "--p", "0.5"]) == 2
+    assert "need 4 <= n <= 8" in capsys.readouterr().err
+
+
 def test_verify_rejects_oversized_model(capsys):
     assert main(["verify", "--n", "10", "--r", "3", "--p", "0.5", "--trials", "10"]) == 2
     capsys.readouterr()

@@ -74,6 +74,46 @@ def test_trace_second_moments_match_loop():
         assert got.variance(k) == pytest.approx(square[k - 1] - mean[k - 1] ** 2, abs=1e-12)
 
 
+def _loop_moments(params, max_k):
+    """E[t_k] and E[t_k^2], k = 1..max_k, one configuration at a time."""
+    n = params.n
+    stats = derive_stats(params)
+    edges = [(p, e) for r, p in params.classes for e in itertools.combinations(range(n), r)]
+    mean = np.zeros(max_k)
+    square = np.zeros(max_k)
+    for present in itertools.product((0, 1), repeat=len(edges)):
+        prob = 1.0
+        A = np.zeros((n, n))
+        for bit, (p, e) in zip(present, edges):
+            prob *= p if bit else 1.0 - p
+            for u, v in itertools.combinations(e, 2):
+                A[u, v] += bit
+                A[v, u] += bit
+        H = (A - stats.mu) / math.sqrt(n * stats.sigma_sq)
+        np.fill_diagonal(H, 0.0)
+        t = np.array([np.trace(np.linalg.matrix_power(H, k)) / n for k in range(1, max_k + 1)])
+        mean += prob * t
+        square += prob * t * t
+    return mean, square
+
+
+@pytest.mark.parametrize(
+    "n, r, p",
+    [
+        (4, [4], [0.5]),  # M = 1: the high half is empty
+        (5, [4], [0.3]),  # odd M = 5
+        (4, [2, 3], [1.0, 0.5]),  # zero-weight configurations in the tables
+    ],
+)
+def test_high_moments_match_loop(n, r, p):
+    # k = 5..8 take the power loop past H^2; compare all eight with a loop
+    params = ModelParams.of(n, r, p)
+    mean, square = _loop_moments(params, 8)
+    got = exact_eesd_moments(params, max_k=8)
+    assert got.moments == pytest.approx(mean, rel=1e-12, abs=1e-12)
+    assert got.second_moments == pytest.approx(square, rel=1e-12, abs=1e-12)
+
+
 def test_moments_refuse_large():
     with pytest.raises(ValueError):
         exact_eesd_moments(ModelParams.of(10, [3], [0.5]), max_k=2)
