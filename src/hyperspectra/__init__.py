@@ -15,7 +15,6 @@ from .hypergraph import (
     Hypergraph,
     adjacency,
     center_scale,
-    log_expected_edges,
     read_hypergraph_text,
     sample_adjacency_batches,
     sample_hypergraph,
@@ -31,9 +30,6 @@ from .spectral import (
     esd,
     ks_distance,
     moment,
-    semicircle_cdf,
-    semicircle_pdf,
-    semicircle_stieltjes,
 )
 from .theory import (
     ChatterjeeBound,
@@ -50,7 +46,7 @@ from .theory import (
     gaussian_truncated_third_moment,
     limit_variance,
     log_binomial,
-    nonsparsity_log_ratio,
+    log_expected_edges,
     pastur_lhs_bernoulli,
     pastur_lhs_gaussian,
     predicted_variance,
@@ -91,7 +87,6 @@ __all__ = [
     "log_binomial",
     "log_expected_edges",
     "moment",
-    "nonsparsity_log_ratio",
     "pastur_lhs_bernoulli",
     "pastur_lhs_gaussian",
     "predicted_variance",
@@ -99,9 +94,6 @@ __all__ = [
     "sample_adjacency_batches",
     "sample_hypergraph",
     "sample_surrogate",
-    "semicircle_cdf",
-    "semicircle_pdf",
-    "semicircle_stieltjes",
     "surrogate_coefficients",
     "write_hypergraph_text",
     "__version__",

@@ -39,7 +39,6 @@ from .hypergraph import (
     MAX_EDGES,
     adjacency,
     center_scale,
-    log_expected_edges,
     read_hypergraph_text,
     sample_adjacency_batches,
     sample_hypergraph,
@@ -60,6 +59,7 @@ from .theory import (
     classify_regime_k2,
     covariance_profile,
     derive_stats,
+    log_expected_edges,
     pastur_lhs_bernoulli,
     pastur_lhs_gaussian,
     predicted_variance,
@@ -471,7 +471,8 @@ def run_montecarlo(cfg: dict, force_engine: str | None = None) -> dict:
     workers = cfg["workers"]
 
     engine = force_engine or cfg["engine"]
-    feasible = log_expected_edges(params) <= math.log(max_edges)
+    log_expected = log_expected_edges(params)
+    feasible = log_expected <= math.log(max_edges)
     notes: list[str] = []
     if engine == "auto":
         if feasible:
@@ -486,7 +487,7 @@ def run_montecarlo(cfg: dict, force_engine: str | None = None) -> dict:
         raise BudgetExceededError(
             "expected edge count exceeds budget.max_edges and the gaussian "
             "surrogate is disabled",
-            log_expected_edges(params),
+            log_expected,
         )
 
     coeffs = None
@@ -643,22 +644,17 @@ def run_verify(cfg: dict) -> dict:
 # argument parsing and dispatch
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
+def _list_of(convert, word: str):
+    """argparse type for a comma list of ``convert`` values; empty tokens are
+    skipped and a bad token is reported as a bad ``word`` list."""
 
+    def parse(text: str) -> list:
+        try:
+            return [convert(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {word} list {text!r}") from exc
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad number list {text!r}") from exc
-
-
-def _str_list(text: str) -> list[str]:
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -667,6 +663,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Adjacency spectra of non-uniform random hypergraphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    ints, numbers = _list_of(int, "integer"), _list_of(float, "number")
 
     def common(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--config", metavar="PATH", help="JSON configuration file")
@@ -675,10 +672,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=["json", "csv"])
         sp.add_argument("--quiet", action="store_true", default=None)
         sp.add_argument("--n", type=int, help="number of vertices")
-        sp.add_argument("--r", type=_int_list, help="class sizes, e.g. 2,3")
-        sp.add_argument("--p", type=_float_list, help="class probabilities, e.g. 0.1,0.005")
+        sp.add_argument("--r", type=ints, help="class sizes, e.g. 2,3")
+        sp.add_argument("--p", type=numbers, help="class probabilities, e.g. 0.1,0.005")
         sp.add_argument("--eps", type=float, help="truncation multiplier")
-        sp.add_argument("--z", type=_float_list, metavar="RE,IM", help="spectral point")
+        sp.add_argument("--z", type=numbers, metavar="RE,IM", help="spectral point")
         sp.add_argument("--max-edges", type=int)
 
     common(sub.add_parser("analyze", help="closed-form statistics report"))
@@ -694,7 +691,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--trials", type=int)
         sp.add_argument("--bins", type=int)
         sp.add_argument("--workers", type=int)
-        sp.add_argument("--emit", type=_str_list, help="comma list of csv,svg,json")
+        sp.add_argument(
+            "--emit", type=_list_of(str.strip, "string"), help="comma list of csv,svg,json"
+        )
         if name == "montecarlo":
             sp.add_argument("--engine", choices=_ENGINES)
 

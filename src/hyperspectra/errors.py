@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["DegenerateModelError", "BudgetExceededError"]
+
 
 class DegenerateModelError(ValueError):
     """Every connection probability is 0 or 1, so the entry variance vanishes

@@ -17,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError
-from .theory import ModelParams, derive_stats, log_binomial, _logsumexp
+from .theory import ModelParams, derive_stats, log_binomial, log_expected_edges
 
 __all__ = [
     "MAX_EDGES",
     "Hypergraph",
-    "log_expected_edges",
     "sample_hypergraph",
     "sample_adjacency_batches",
     "adjacency",
@@ -184,18 +183,6 @@ def _poisson_subsets(rng: np.random.Generator, n: int, r: int, p: float) -> np.n
         rows[:, i] = np.where(taken, top, pick)
     rows.sort(axis=1)
     return np.unique(rows, axis=0)
-
-
-def log_expected_edges(params: ModelParams) -> float:
-    """ln of the expected total edge count, sum_i C(n, r_i) p_i.
-
-    Avoids derive_stats: sampling stays legal for zero-variance models
-    (every p_i in {0, 1}), where derived statistics are undefined.
-    """
-    return _logsumexp(
-        log_binomial(params.n, r) + (math.log(p) if p > 0.0 else float("-inf"))
-        for r, p in params.classes
-    )
 
 
 def _check_budget(params: ModelParams, max_edges: int) -> None:

@@ -24,9 +24,6 @@ __all__ = [
     "eigenvalues",
     "esd",
     "average_esd",
-    "semicircle_pdf",
-    "semicircle_cdf",
-    "semicircle_stieltjes",
     "empirical_stieltjes",
     "ks_distance",
     "moment",
@@ -113,49 +110,6 @@ def average_esd(
 # semicircle reference law
 
 
-def _check_s_sq(s_sq: float) -> float:
-    s_sq = float(s_sq)
-    if not (s_sq > 0.0) or not math.isfinite(s_sq):
-        raise ValueError(f"need a positive finite variance, got {s_sq}")
-    return s_sq
-
-
-def semicircle_pdf(s_sq: float, x) -> np.ndarray | float:
-    s_sq = _check_s_sq(s_sq)
-    x = np.asarray(x, dtype=np.float64)
-    sq = 4.0 * s_sq - x * x
-    out = np.where(sq > 0.0, np.sqrt(np.maximum(sq, 0.0)) / (2.0 * math.pi * s_sq), 0.0)
-    return out if out.ndim else float(out)
-
-
-def semicircle_cdf(s_sq: float, x) -> np.ndarray | float:
-    s_sq = _check_s_sq(s_sq)
-    two_s = 2.0 * math.sqrt(s_sq)
-    x = np.asarray(x, dtype=np.float64)
-    xc = np.clip(x, -two_s, two_s)
-    sq = np.maximum(4.0 * s_sq - xc * xc, 0.0)
-    out = (
-        0.5
-        + xc * np.sqrt(sq) / (4.0 * math.pi * s_sq)
-        + np.arcsin(xc / two_s) / math.pi
-    )
-    out = np.clip(out, 0.0, 1.0)
-    return out if out.ndim else float(out)
-
-
-def semicircle_stieltjes(s_sq: float, z: complex) -> complex:
-    """S(z) = (-z + sqrt(z^2 - 4 s^2)) / (2 s^2), the root with Im S > 0."""
-    s_sq = _check_s_sq(s_sq)
-    z = complex(z)
-    if not z.imag > 0.0:
-        raise ValueError(f"need Im z > 0, got z = {z}")
-    w = cmath.sqrt(z * z - 4.0 * s_sq)
-    S = (-z + w) / (2.0 * s_sq)
-    if S.imag <= 0.0:
-        S = (-z - w) / (2.0 * s_sq)
-    return S
-
-
 @dataclass(frozen=True)
 class SemicircleLaw:
     """Semicircle law with variance s_sq, support [-2s, 2s]."""
@@ -163,20 +117,46 @@ class SemicircleLaw:
     s_sq: float
 
     def __post_init__(self) -> None:
-        _check_s_sq(self.s_sq)
+        s_sq = float(self.s_sq)
+        if not (s_sq > 0.0) or not math.isfinite(s_sq):
+            raise ValueError(f"need a positive finite variance, got {s_sq}")
+        object.__setattr__(self, "s_sq", s_sq)
 
     @property
     def radius(self) -> float:
         return 2.0 * math.sqrt(self.s_sq)
 
-    def pdf(self, x):
-        return semicircle_pdf(self.s_sq, x)
+    def pdf(self, x) -> np.ndarray | float:
+        x = np.asarray(x, dtype=np.float64)
+        sq = 4.0 * self.s_sq - x * x
+        out = np.where(
+            sq > 0.0, np.sqrt(np.maximum(sq, 0.0)) / (2.0 * math.pi * self.s_sq), 0.0
+        )
+        return out if out.ndim else float(out)
 
-    def cdf(self, x):
-        return semicircle_cdf(self.s_sq, x)
+    def cdf(self, x) -> np.ndarray | float:
+        two_s = self.radius
+        x = np.asarray(x, dtype=np.float64)
+        xc = np.clip(x, -two_s, two_s)
+        sq = np.maximum(4.0 * self.s_sq - xc * xc, 0.0)
+        out = (
+            0.5
+            + xc * np.sqrt(sq) / (4.0 * math.pi * self.s_sq)
+            + np.arcsin(xc / two_s) / math.pi
+        )
+        out = np.clip(out, 0.0, 1.0)
+        return out if out.ndim else float(out)
 
     def stieltjes(self, z: complex) -> complex:
-        return semicircle_stieltjes(self.s_sq, z)
+        """S(z) = (-z + sqrt(z^2 - 4 s^2)) / (2 s^2), the root with Im S > 0."""
+        z = complex(z)
+        if not z.imag > 0.0:
+            raise ValueError(f"need Im z > 0, got z = {z}")
+        w = cmath.sqrt(z * z - 4.0 * self.s_sq)
+        S = (-z + w) / (2.0 * self.s_sq)
+        if S.imag <= 0.0:
+            S = (-z - w) / (2.0 * self.s_sq)
+        return S
 
 
 def empirical_stieltjes(eigs, z: complex) -> complex:

@@ -45,7 +45,7 @@ __all__ = [
     "RegimeResult",
     "log_binomial",
     "derive_stats",
-    "nonsparsity_log_ratio",
+    "log_expected_edges",
     "covariance_profile",
     "limit_variance",
     "predicted_variance",
@@ -123,15 +123,20 @@ def log_binomial(n: int, k: int) -> float:
     )
 
 
-def _log_binomial_or_absent(n: int, k: int) -> float:
-    """log C(n, k), with -inf for the absent-term case k < 0."""
-    if k < 0:
-        return _NEG_INF
-    return log_binomial(n, k)
-
-
 def _log_or_neg_inf(x: float) -> float:
     return math.log(x) if x > 0.0 else _NEG_INF
+
+
+def _log_class_terms(
+    params: ModelParams, a: int, xs: Iterable[float]
+) -> tuple[float, ...]:
+    """Per-class terms ln(C(n-a, r_i-a) x_i) of a class sum, with -inf for
+    an absent term (r_i < a) or x_i = 0."""
+    n = params.n
+    return tuple(
+        (log_binomial(n - a, r - a) if r >= a else _NEG_INF) + _log_or_neg_inf(x)
+        for r, x in zip(params.r, xs)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +220,10 @@ class DerivedStats:
     Log-space fields are canonical; mu, sigma_sq and K_n are their linear
     companions and saturate to inf when out of double range.  w_fin are the
     finite-n class weights (they sum to 1); xi and K_n are built from them.
+
+    log_nonsparsity_ratio is ln a_n / (b_n c_n), with a_n = (sum_i r_i d_i)^2,
+    b_n = r_max^16 xi^2 and c_n = sum_i d_i / r_i.  For a single class it is
+    ln(d / r^9) exactly: a/(bc) = r^2 d^2 / (r^12 * d/r) = d / r^9.
     """
 
     sigma_i_sq: tuple[float, ...]
@@ -233,27 +242,17 @@ class DerivedStats:
     log_class_count: tuple[float, ...]
 
 
+@functools.lru_cache(maxsize=256)
 def derive_stats(params: ModelParams) -> DerivedStats:
     """Closed-form entry statistics of the adjacency matrix for ``params``.
 
     Pure in ``params``; results are memoized, so repeated calls in sampling
     loops are free.
     """
-    return _derive_stats_cached(params)
-
-
-@functools.lru_cache(maxsize=256)
-def _derive_stats_cached(params: ModelParams) -> DerivedStats:
     n = params.n
     sigma_i_sq = tuple(p * (1.0 - p) for p in params.p)
-    log_B = tuple(
-        _log_binomial_or_absent(n - 2, r - 2) + _log_or_neg_inf(s2)
-        for r, s2 in zip(params.r, sigma_i_sq)
-    )
-    log_mu = _logsumexp(
-        _log_binomial_or_absent(n - 2, r - 2) + _log_or_neg_inf(p)
-        for r, p in zip(params.r, params.p)
-    )
+    log_B = _log_class_terms(params, 2, sigma_i_sq)
+    log_mu = _logsumexp(_log_class_terms(params, 2, params.p))
     log_sigma_sq = _logsumexp(log_B)
     if log_sigma_sq == _NEG_INF:
         raise DegenerateModelError(
@@ -261,16 +260,17 @@ def _derive_stats_cached(params: ModelParams) -> DerivedStats:
         )
     w_fin = tuple(_exp(b - log_sigma_sq) for b in log_B)
     xi = math.fsum(w / (r * r) for w, r in zip(w_fin, params.r))
-    log_d = tuple(
-        log_binomial(n - 1, r - 1) + _log_or_neg_inf(p)
-        for r, p in zip(params.r, params.p)
-    )
+    log_d = _log_class_terms(params, 1, params.p)
     r_max = params.r_max
     log_K_n = (
         0.5 * (math.log(n) + log_sigma_sq) - 6.0 * math.log(r_max) - math.log(xi)
     )
+    # log_d has a finite entry (some p_i > 0), so log_a and log_c are finite
+    log_a = 2.0 * _logsumexp(math.log(r) + ld for r, ld in zip(params.r, log_d))
+    log_b = 16.0 * math.log(r_max) + 2.0 * math.log(xi)
+    log_c = _logsumexp(ld - math.log(r) for r, ld in zip(params.r, log_d))
     log_class_count = tuple(log_binomial(n, r) for r in params.r)
-    stats = DerivedStats(
+    return DerivedStats(
         sigma_i_sq=sigma_i_sq,
         log_B=log_B,
         log_mu=log_mu,
@@ -282,37 +282,19 @@ def _derive_stats_cached(params: ModelParams) -> DerivedStats:
         log_d=log_d,
         log_K_n=log_K_n,
         K_n=_exp(log_K_n),
-        log_nonsparsity_ratio=_nonsparsity_from_parts(params, log_d, xi, r_max),
+        log_nonsparsity_ratio=log_a - log_b - log_c,
         r_max=r_max,
         log_class_count=log_class_count,
     )
-    return stats
 
 
-def _nonsparsity_from_parts(
-    params: ModelParams, log_d: tuple[float, ...], xi: float, r_max: int
-) -> float:
-    # a = (sum_i r_i d_i)^2, b = r_max^16 xi^2, c = sum_i d_i / r_i
-    log_a = 2.0 * _logsumexp(
-        math.log(r) + ld for r, ld in zip(params.r, log_d)
-    )
-    log_c = _logsumexp(ld - math.log(r) for r, ld in zip(params.r, log_d))
-    if log_a == _NEG_INF or log_c == _NEG_INF:
-        return _NEG_INF
-    log_b = 16.0 * math.log(r_max) + 2.0 * math.log(xi)
-    return log_a - log_b - log_c
+def log_expected_edges(params: ModelParams) -> float:
+    """ln of the expected total edge count, sum_i C(n, r_i) p_i.
 
-
-def nonsparsity_log_ratio(params: ModelParams) -> float:
-    """ln of the non-sparsity ratio a_n / (b_n c_n), where
-
-    a_n = (sum_i r_i d_i)^2,  b_n = r_max^16 xi^2,  c_n = sum_i d_i / r_i.
-
-    For a single class this is ln(d / r^9) exactly:
-    a/(bc) = r^2 d^2 / (r^12 * d/r) = d / r^9.
+    Avoids derive_stats: sampling stays legal for zero-variance models
+    (every p_i in {0, 1}), where derived statistics are undefined.
     """
-    stats = derive_stats(params)
-    return stats.log_nonsparsity_ratio
+    return _logsumexp(_log_class_terms(params, 0, params.p))
 
 
 # ---------------------------------------------------------------------------
@@ -342,16 +324,9 @@ def covariance_profile(params: ModelParams) -> CovarianceProfile:
     Classes with r_i < 3 (resp. < 4) contribute absent terms to the
     numerators.  0 <= rho_n <= gamma_n < 1 always.
     """
-    n = params.n
     stats = derive_stats(params)
-    log_gamma_num = _logsumexp(
-        _log_binomial_or_absent(n - 3, r - 3) + _log_or_neg_inf(s2)
-        for r, s2 in zip(params.r, stats.sigma_i_sq)
-    )
-    log_rho_num = _logsumexp(
-        _log_binomial_or_absent(n - 4, r - 4) + _log_or_neg_inf(s2)
-        for r, s2 in zip(params.r, stats.sigma_i_sq)
-    )
+    log_gamma_num = _logsumexp(_log_class_terms(params, 3, stats.sigma_i_sq))
+    log_rho_num = _logsumexp(_log_class_terms(params, 4, stats.sigma_i_sq))
     gamma_n = _exp(log_gamma_num - stats.log_sigma_sq) if log_gamma_num != _NEG_INF else 0.0
     rho_n = _exp(log_rho_num - stats.log_sigma_sq) if log_rho_num != _NEG_INF else 0.0
     theta_sq = 1.0 - 2.0 * gamma_n + rho_n
@@ -515,20 +490,8 @@ class PasturTail:
     log_ratio: float
 
     @property
-    def per_class(self) -> tuple[float, ...]:
-        return tuple(_exp(v) for v in self.log_per_class)
-
-    @property
     def total(self) -> float:
         return _exp(self.log_total)
-
-    @property
-    def rhs_scale(self) -> float:
-        return _exp(self.log_rhs_scale)
-
-    @property
-    def ratio(self) -> float:
-        return _exp(self.log_ratio)
 
 
 def _pastur_tail(params: ModelParams, eps: float, per_edge) -> PasturTail:

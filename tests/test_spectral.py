@@ -25,9 +25,6 @@ from hyperspectra import (
     moment,
     sample_hypergraph,
     sample_surrogate,
-    semicircle_cdf,
-    semicircle_pdf,
-    semicircle_stieltjes,
     surrogate_coefficients,
 )
 from hyperspectra import CovarianceProfile
@@ -144,13 +141,14 @@ def test_moment_quantile_grid():
 
 
 def test_semicircle_pdf_cdf_catalog():
-    assert semicircle_pdf(1.0, 0.0) == pytest.approx(1.0 / math.pi, rel=1e-14)
-    assert semicircle_pdf(1.0, 2.5) == 0.0
-    assert semicircle_cdf(1.0, -2.0) == 0.0
-    assert semicircle_cdf(1.0, 2.0) == pytest.approx(1.0, abs=1e-14)
-    assert semicircle_cdf(1.0, 0.0) == pytest.approx(0.5, abs=1e-14)
+    law = SemicircleLaw(1.0)
+    assert law.pdf(0.0) == pytest.approx(1.0 / math.pi, rel=1e-14)
+    assert law.pdf(2.5) == 0.0
+    assert law.cdf(-2.0) == 0.0
+    assert law.cdf(2.0) == pytest.approx(1.0, abs=1e-14)
+    assert law.cdf(0.0) == pytest.approx(0.5, abs=1e-14)
     with pytest.raises(ValueError):
-        semicircle_pdf(0.0, 0.0)
+        SemicircleLaw(0.0)
 
 
 def test_semicircle_density_normalization():
@@ -158,20 +156,17 @@ def test_semicircle_density_normalization():
         total = quad_semicircle(lambda x: 1.0, 1.0)  # reference weight itself
         assert total == pytest.approx(1.0, abs=1e-9)
         s = math.sqrt(s_sq)
-        val, err = integrate.quad(
-            lambda x: semicircle_pdf(s_sq, x), -2 * s, 2 * s, limit=300
-        )
+        val, err = integrate.quad(SemicircleLaw(s_sq).pdf, -2 * s, 2 * s, limit=300)
         assert val == pytest.approx(1.0, abs=1e-9)
 
 
 def test_semicircle_cdf_matches_quadrature():
     for s_sq in (0.25, 1.0):
         s = math.sqrt(s_sq)
+        law = SemicircleLaw(s_sq)
         for x in (-1.5 * s, -0.3 * s, 0.0, 0.8 * s, 1.9 * s):
-            want, err = integrate.quad(
-                lambda u: semicircle_pdf(s_sq, u), -2 * s, x, limit=300
-            )
-            assert semicircle_cdf(s_sq, x) == pytest.approx(want, abs=1e-9 + err)
+            want, err = integrate.quad(law.pdf, -2 * s, x, limit=300)
+            assert law.cdf(x) == pytest.approx(want, abs=1e-9 + err)
 
 
 def test_semicircle_second_moment():
@@ -185,7 +180,7 @@ def test_semicircle_second_moment():
 
 
 def test_stieltjes_catalog():
-    got = semicircle_stieltjes(1.0, 1j)
+    got = SemicircleLaw(1.0).stieltjes(1j)
     want = 1j * (math.sqrt(5.0) - 1.0) / 2.0
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -196,14 +191,14 @@ def test_stieltjes_matches_quadrature():
             want = quad_semicircle(lambda x: ((x - z) ** -1).real, s_sq) + 1j * (
                 quad_semicircle(lambda x: ((x - z) ** -1).imag, s_sq)
             )
-            got = semicircle_stieltjes(s_sq, z)
+            got = SemicircleLaw(s_sq).stieltjes(z)
             assert abs(got - want) < 1e-8
             assert got.imag > 0.0
 
 
 def test_stieltjes_large_z_decay():
     z = 100j
-    assert abs(z * semicircle_stieltjes(1.0, z) + 1.0) < 1e-3
+    assert abs(z * SemicircleLaw(1.0).stieltjes(z) + 1.0) < 1e-3
 
 
 def test_stieltjes_herglotz_randomized():
@@ -211,11 +206,11 @@ def test_stieltjes_herglotz_randomized():
     for _ in range(50):
         s_sq = float(rng.uniform(0.05, 4.0))
         z = complex(rng.uniform(-5, 5), rng.uniform(1e-3, 5))
-        assert semicircle_stieltjes(s_sq, z).imag > 0.0
+        assert SemicircleLaw(s_sq).stieltjes(z).imag > 0.0
         eigs = np.sort(rng.standard_normal(7))
         assert empirical_stieltjes(eigs, z).imag > 0.0
     with pytest.raises(ValueError):
-        semicircle_stieltjes(1.0, 1.0 - 1j)
+        SemicircleLaw(1.0).stieltjes(1.0 - 1j)
     with pytest.raises(ValueError):
         empirical_stieltjes([0.0], 0.5 + 0.0j)
 

@@ -28,7 +28,7 @@ from hyperspectra import (
     gaussian_truncated_third_moment,
     limit_variance,
     log_binomial,
-    nonsparsity_log_ratio,
+    log_expected_edges,
     pastur_lhs_bernoulli,
     pastur_lhs_gaussian,
     predicted_variance,
@@ -195,6 +195,25 @@ def test_weight_normalization_randomized():
         assert abs(math.fsum(stats.w_fin) - 1.0) < 1e-12
 
 
+def test_log_expected_edges():
+    def direct(n, rs, ps):
+        return math.log(sum(math.comb(n, r) * p for r, p in zip(rs, ps)))
+
+    # a p = 0 class is an absent term
+    got = log_expected_edges(ModelParams.of(10, [2, 3], [0.5, 0.0]))
+    assert got == pytest.approx(direct(10, [2, 3], [0.5, 0.0]), rel=1e-12)
+    # zero entry variance: derive_stats raises, the edge count is still defined
+    params = ModelParams.of(6, [6], [1.0])
+    with pytest.raises(DegenerateModelError):
+        derive_stats(params)
+    assert log_expected_edges(params) == 0.0
+    assert direct(6, [6], [1.0]) == 0.0
+    # C(200, 15) p is about 1.5e4 with p = 1e-18
+    got = log_expected_edges(ModelParams.of(200, [15], [1e-18]))
+    assert got == pytest.approx(log_binomial(200, 15) + math.log(1e-18), rel=1e-12)
+    assert got == pytest.approx(direct(200, [15], [1e-18]), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # k = 1 identities and the non-sparsity ratio
 
@@ -212,22 +231,23 @@ def test_k1_identities_randomized():
         assert rel_err(stats.K_n, k_n_direct) < 1e-12
         d = math.exp(stats.log_d[0])
         want = math.log(d / r**9)
-        assert abs(nonsparsity_log_ratio(params) - want) <= 1e-12 * max(1.0, abs(want))
+        got = derive_stats(params).log_nonsparsity_ratio
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_nonsparsity_catalog():
-    got = nonsparsity_log_ratio(ModelParams.of(100, [3], [0.1]))
+    got = derive_stats(ModelParams.of(100, [3], [0.1])).log_nonsparsity_ratio
     assert got == pytest.approx(math.log(485.1 / 19683), rel=1e-12)
-    got = nonsparsity_log_ratio(ModelParams.of(100, [2], [0.5]))
+    got = derive_stats(ModelParams.of(100, [2], [0.5])).log_nonsparsity_ratio
     assert got == pytest.approx(math.log(49.5 / 512), rel=1e-12)
 
 
 def test_nonsparsity_rational_oracle_k2():
     for n, classes in [(20, [(2, 0.25), (4, 0.5)]), (12, [(3, 0.75), (5, 0.125)])]:
         oracle = RationalStats(n, classes)
-        got = nonsparsity_log_ratio(
+        got = derive_stats(
             ModelParams.of(n, [r for r, _ in classes], [p for _, p in classes])
-        )
+        ).log_nonsparsity_ratio
         assert got == pytest.approx(math.log(float(oracle.nonsparsity)), rel=1e-10)
 
 
@@ -393,8 +413,9 @@ def test_pastur_catalog_and_monotonicity():
     tail = pastur_lhs_bernoulli(params, eps)
     want_total = math.comb(100, 3) * 0.081
     assert tail.total == pytest.approx(want_total, rel=1e-12)
-    assert tail.rhs_scale == pytest.approx(100**2 * stats.sigma_sq / 3**4, rel=1e-12)
-    assert tail.ratio == pytest.approx(tail.total / tail.rhs_scale, rel=1e-12)
+    rhs_scale = math.exp(tail.log_rhs_scale)
+    assert rhs_scale == pytest.approx(100**2 * stats.sigma_sq / 3**4, rel=1e-12)
+    assert math.exp(tail.log_ratio) == pytest.approx(tail.total / rhs_scale, rel=1e-12)
 
     # threshold beyond both atoms: empty indicator
     eps = 1.01 * 0.9 / stats.K_n
