@@ -17,7 +17,8 @@ and are byte-identical across runs for a fixed config and seed, regardless
 of the worker count.
 
 Exit codes: 0 success; 1 verify mismatch; 2 invalid configuration;
-3 degenerate model; 4 budget infeasible with the surrogate disabled, or
+3 degenerate model; 4 expected edge count over budget.max_edges where the
+exact sampler must run (sample, verify, montecarlo --engine bernoulli), or
 out of memory; 5 I/O failure.
 """
 
@@ -39,6 +40,7 @@ from .hypergraph import (
     MAX_EDGES,
     adjacency,
     center_scale,
+    check_budget,
     read_hypergraph_text,
     sample_adjacency_batches,
     sample_hypergraph,
@@ -59,7 +61,6 @@ from .theory import (
     classify_regime_k2,
     covariance_profile,
     derive_stats,
-    log_expected_edges,
     pastur_lhs_bernoulli,
     pastur_lhs_gaussian,
     predicted_variance,
@@ -471,24 +472,19 @@ def run_montecarlo(cfg: dict, force_engine: str | None = None) -> dict:
     workers = cfg["workers"]
 
     engine = force_engine or cfg["engine"]
-    log_expected = log_expected_edges(params)
-    feasible = log_expected <= math.log(max_edges)
     notes: list[str] = []
     if engine == "auto":
-        if feasible:
+        try:
+            check_budget(params, max_edges)
             engine = "bernoulli"
-        else:
+        except BudgetExceededError:
             engine = "gaussian-surrogate"
             notes.append(
                 "expected edge count exceeds budget.max_edges; "
                 "switched to the gaussian surrogate"
             )
-    if engine == "bernoulli" and not feasible:
-        raise BudgetExceededError(
-            "expected edge count exceeds budget.max_edges and the gaussian "
-            "surrogate is disabled",
-            log_expected,
-        )
+    elif engine == "bernoulli":
+        check_budget(params, max_edges)
 
     coeffs = None
     if engine == "gaussian-surrogate":

@@ -22,6 +22,7 @@ from .theory import ModelParams, derive_stats, log_binomial, log_expected_edges
 __all__ = [
     "MAX_EDGES",
     "Hypergraph",
+    "check_budget",
     "sample_hypergraph",
     "sample_adjacency_batches",
     "adjacency",
@@ -185,9 +186,9 @@ def _poisson_subsets(rng: np.random.Generator, n: int, r: int, p: float) -> np.n
     return np.unique(rows, axis=0)
 
 
-def _check_budget(params: ModelParams, max_edges: int) -> None:
-    """Refuse models whose expected total edge count exceeds max_edges,
-    checked in log space before anything is drawn."""
+def check_budget(params: ModelParams, max_edges: int) -> None:
+    """Raise BudgetExceededError if the model's expected total edge count
+    exceeds max_edges, checked in log space before anything is drawn."""
     if max_edges < 1:
         raise ValueError(f"max_edges must be >= 1, got {max_edges}")
     log_expected = log_expected_edges(params)
@@ -241,7 +242,7 @@ def sample_hypergraph(
     checked in log space before anything is drawn.  Identical
     (params, seed, max_edges) give a bit-identical result.
     """
-    _check_budget(params, max_edges)
+    check_budget(params, max_edges)
     rng = np.random.default_rng(seed)
     parts = _draw_classes(rng, params, 1)
     return Hypergraph(n=params.n, classes=tuple(edges for edges, _ in parts))
@@ -268,7 +269,7 @@ def sample_adjacency_batches(
     call, before any batch is drawn.  Needs trials * C(n, r_i) < 2^62 per
     batch.
     """
-    _check_budget(params, max_edges)
+    check_budget(params, max_edges)
     rng = np.random.default_rng(seed)
     n = params.n
     batch = max(_TRIAL_BATCH_BYTES // (8 * n * n), 1)

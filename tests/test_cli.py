@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +138,19 @@ def test_analyze_csv_format(capsys):
     lines = out.splitlines()
     assert lines[0] == "key,value"
     assert any(line.startswith("derived.sigma_sq,") for line in lines)
+
+
+def test_analyze_out_file(tmp_path, capsys):
+    model = ["--n", "500", "--r", "2,3", "--p", "0.05,0.001"]
+    assert main(["analyze", *model, "--out", str(tmp_path / "json")]) == 0
+    out = capsys.readouterr().out
+    assert (tmp_path / "json" / "analyze.json").read_text() == out
+
+    # the file stays JSON when stdout is CSV
+    assert main(["analyze", *model, "--format", "csv", "--out", str(tmp_path / "csv")]) == 0
+    assert capsys.readouterr().out.startswith("key,value\n")
+    report = run_analyze(cfg_of(n=500, r=[2, 3], p=[0.05, 0.001]))
+    assert (tmp_path / "csv" / "analyze.json").read_text() == dumps(report)
 
 
 def test_config_file_and_overrides(tmp_path, capsys):
@@ -348,6 +365,19 @@ def test_montecarlo_forced_bernoulli_raises():
         run_montecarlo(cfg_of(n=2000, r=[600], p=[0.3], trials=1, engine="bernoulli"))
 
 
+def test_montecarlo_bernoulli_budget_exit(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("sampled past the budget")
+
+    monkeypatch.setattr(cli_module, "sample_hypergraph", never)
+    argv = ["--n", "2000", "--r", "600", "--p", "0.3", "--trials", "3", "--quiet"]
+    for workers in ("1", "3"):
+        assert main(["montecarlo", *argv, "--engine", "bernoulli", "--workers", workers]) == 4
+        assert capsys.readouterr().err == (
+            "error: expected edge count exp(1216.585) exceeds budget.max_edges = 10000000\n"
+        )
+
+
 def test_gaussian_subcommand_forces_surrogate(capsys):
     assert main(
         [
@@ -418,6 +448,23 @@ def test_verify_passes_and_exit_zero(capsys):
     assert "montecarlo_m4_vs_oracle" in names
 
 
+def test_verify_side_channel(capsys):
+    argv = ["verify", "--n", "4", "--r", "2,3", "--p", "0.5,0.5", "--trials", "500"]
+    assert main([*argv, "--seed", "0"]) == 0
+    captured = capsys.readouterr()
+    checks = json.loads(captured.out)["checks"]
+    lines = captured.err.splitlines()
+    assert len(lines) == len(checks)
+    for line, c in zip(lines, checks):
+        assert line.startswith(f"{'ok  ' if c['ok'] else 'FAIL'} {c['name']}: "), line
+
+    assert main([*argv, "--seed", "0", "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+
+    assert main([*argv[:-1], "1"]) == 2
+    assert "verify needs trials >= 2" in capsys.readouterr().err
+
+
 def test_verify_report_structure():
     report = run_verify(cfg_of(n=4, r=[2, 3], p=[0.5, 0.5], trials=500, seed=0))
     m2 = next(c for c in report["checks"] if c["name"] == "oracle_m2_identity")
@@ -475,3 +522,28 @@ def test_verify_refuses_before_enumerating(monkeypatch, capsys):
 def test_verify_rejects_oversized_model(capsys):
     assert main(["verify", "--n", "10", "--r", "3", "--p", "0.5", "--trials", "10"]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# module entry point
+
+
+def run_module(*args):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "hyperspectra.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_module_entry_point(capsys):
+    model = ["--n", "500", "--r", "2,3", "--p", "0.05,0.001"]
+    proc = run_module("analyze", *model)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["analyze", *model]) == 0
+    assert proc.stdout == capsys.readouterr().out
+
+    proc = run_module("sample", "--n", "100000", "--r", "5", "--p", "0.5", "--max-edges", "1000000")
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("error: expected edge count exp(")

@@ -1,5 +1,6 @@
 """Every public name list must match what its module defines: a name left in
-an ``__all__`` after its definition is deleted makes ``import *`` raise."""
+an ``__all__`` after its definition is deleted makes ``import *`` raise.  The
+package's list is derived from its modules' lists, so each name has one."""
 
 import importlib
 import pkgutil
@@ -25,6 +26,10 @@ def test_all_names_resolve_once(module):
 
 
 def test_package_exports_come_from_submodules():
-    owned = {name for module in SUBMODULES for name in module.__all__}
-    stray = set(hyperspectra.__all__) - owned - {"__version__"}
-    assert not stray, sorted(stray)
+    """The package exports exactly the union of its library modules' names
+    (every module but the command line front end), and no name has two
+    owners."""
+    lists = [m.__all__ for m in SUBMODULES if m.__name__ != "hyperspectra.cli"]
+    owned = [name for names in lists for name in names]
+    assert len(owned) == len(set(owned)), sorted(n for n in owned if owned.count(n) > 1)
+    assert set(hyperspectra.__all__) == {*owned, "__version__"}

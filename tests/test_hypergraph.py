@@ -200,6 +200,40 @@ def test_bernoulli_ranks_law():
             assert observed[0] > 0, (pop, p)
 
 
+class CappedRng:
+    """default_rng(seed) that allows ``calls`` geometric draws, so a walk that
+    never reaches the end of its range fails instead of running on."""
+
+    def __init__(self, seed, calls):
+        self.rng = np.random.default_rng(seed)
+        self.calls = calls
+
+    def geometric(self, p, size):
+        self.calls -= 1
+        assert self.calls >= 0, "walk overran its chunks"
+        return self.rng.geometric(p, size=size)
+
+
+def test_bernoulli_ranks_chunk_continuation(monkeypatch):
+    # Small chunks only change how many surplus gaps are drawn past the cut:
+    # the K kept ranks plus the gap that leaves the range take exactly
+    # ceil((K + 1) / chunk) draws, and the ranks equal the one-chunk walk's.
+    cases = [
+        (100, 1.0), (1000, 0.3), (5000, 0.01), (50, 0.5),
+        (10**6, 1e-4), (7, 1e-300), (2**40, 1e-9),
+    ]
+    for pop, p in cases:
+        for seed in range(5):
+            want = _bernoulli_ranks(np.random.default_rng(seed), pop, p)
+            for chunk in (1, 2, 7):
+                monkeypatch.setattr(hypergraph_module, "_MAX_CHUNK", chunk)
+                rng = CappedRng(seed, -(-(want.size + 1) // chunk))
+                got = _bernoulli_ranks(rng, pop, p)
+                monkeypatch.undo()
+                assert rng.calls == 0, (pop, p, seed, chunk)
+                np.testing.assert_array_equal(got, want, err_msg=f"{pop, p, seed, chunk}")
+
+
 def test_sample_joint_law():
     # all 2^10 edge sets of n=4, r=(2,3): each subset independent with its p,
     # across classes too, with p above 1/2 in the second class

@@ -485,6 +485,20 @@ def test_chatterjee_regression_pin():
     assert bound.total == pytest.approx(37.851353304043165, rel=1e-12)
 
 
+def test_chatterjee_log_space_fallback():
+    # lambda3 overflows and the truncated third moments underflow to 0, so the
+    # linear form would give inf * 0 = nan; the log-space sum keeps the
+    # lambda2 term, which is all there is
+    bound = chatterjee_bound(ModelParams.of(1000, [2], [1e-300]), 1j, 1.0)
+    assert math.isinf(bound.lambda3_bound)
+    assert bound.trunc3_sum == 0.0
+    assert math.isfinite(bound.total)
+    term1 = 2.0 * bound.lambda2_bound * (bound.tail_sum_bernoulli + bound.tail_sum_gaussian)
+    assert bound.total == pytest.approx(term1, rel=1e-12)
+    assert bound.total == pytest.approx(10.163961922031376, rel=1e-12)
+    assert bound.log_total == pytest.approx(2.318848319094286, rel=1e-12)
+
+
 def test_chatterjee_decreasing_in_n():
     totals = [
         chatterjee_bound(ModelParams.of(n, [3], [0.1]), 1j, 1.0).total
