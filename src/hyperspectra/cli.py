@@ -775,6 +775,9 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "verify":
             report = run_verify(cfg)
             _emit_report(report, cfg)
+            # before the exit-1 return, so a failed verify leaves its report
+            if cfg["out_dir"] is not None:
+                _write_text(cfg["out_dir"], "verify.json", dumps(report))
             for c in report["checks"]:
                 status = "ok  " if c["ok"] else "FAIL"
                 _note(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -349,27 +350,59 @@ def center_scale(A: np.ndarray, params: ModelParams) -> np.ndarray:
 # r_i strictly ascending 1-based vertex indices.  UTF-8, LF line endings.
 
 
-# rows formatted per % operation; bounds the block's string and tuple memory
+# edge rows formatted per block; bounds the writer's scratch memory
 _WRITE_BLOCK_ROWS = 65_536
 
 
+def _format_rows(rows: np.ndarray, width: int) -> np.ndarray:
+    """The text lines of 0-based edge rows, as a uint8 array: each value + 1 in
+    decimal, then a space, or a newline after a row's last value.
+
+    The digits of each value go right-aligned into ``width`` cells followed
+    by a separator cell.  Cells left of a value's leading digit hold 0, and
+    a row-major mask drops them."""
+    rest = rows.astype(np.uint32)
+    rest += 1
+    cells = np.empty(rest.shape + (width + 1,), dtype=np.uint8)
+    cells[..., width] = ord(" ")
+    cells[:, -1, width] = ord("\n")
+    for j in range(width - 1, -1, -1):
+        quot = rest // 10
+        # the digit's ASCII code; 0 once nothing is left (values are >= 1)
+        cells[..., j] = (rest - 10 * quot + ord("0")) * (rest > 0)
+        rest = quot
+    flat = cells.ravel()
+    return flat.compress(flat != 0)
+
+
 def write_hypergraph_text(h: Hypergraph, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{h.n} {len(h.classes)}\n")
+    # every written value is at most n
+    width = len(str(h.n))
+    with open(path, "wb") as fh:
+        fh.write(b"%d %d\n" % (h.n, len(h.classes)))
         for edges in h.classes:
             m, r = edges.shape
-            fh.write(f"{r} {m}\n")
-            line = " ".join(["%d"] * r) + "\n"
+            fh.write(b"%d %d\n" % (r, m))
             for start in range(0, m, _WRITE_BLOCK_ROWS):
-                block = edges[start : start + _WRITE_BLOCK_ROWS] + 1
-                fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+                fh.write(_format_rows(edges[start : start + _WRITE_BLOCK_ROWS], width))
 
 
 # bytes per split block; one block's tokens are the only per-token Python
 # objects the reader holds at a time
 _PARSE_BLOCK = 2**16
-# a separator of bytes.split()
-_WHITESPACE = re.compile(rb"[ \t\n\v\f\r]")
+# the separators of bytes.split()
+_SEPARATORS = b" \t\n\v\f\r"
+_WHITESPACE = re.compile(b"[" + re.escape(_SEPARATORS) + b"]")
+# bytes.translate table of the reader's gate: b" " separator, b"d" digit,
+# b"s" sign, b"x" any other byte
+_BYTE_CLASS = bytes(
+    ord(" ") if byte in _SEPARATORS
+    else ord("d") if byte in b"0123456789"
+    else ord("s") if byte in b"+-"
+    else ord("x")
+    for byte in range(256)
+)
+_INT64_MIN = -(2**63)
 
 
 def _blocks(data: bytes):
@@ -381,6 +414,34 @@ def _blocks(data: bytes):
         stop = cut.start() if cut else len(data)
         yield data[start:stop]
         start = stop
+
+
+def _scan(block: bytes) -> tuple[int, bool]:
+    """The number of tokens in ``block``, and whether numpy's parser may
+    convert it: the gate admits only ASCII whitespace, digits and signs,
+    with every sign opening a token and followed by a digit."""
+    # a block starts at a separator or at the start of the file
+    cls = (b" " + block).translate(_BYTE_CLASS)
+    if b"x" in cls or (b"s" in cls and cls.count(b"s") != cls.count(b" sd")):
+        return len(block.split()), False
+    # a token starts exactly where the class code rises, from b" " to b"d"
+    # or b"s"; within a gated token it never rises, as b"s" > b"d" and a
+    # sign is followed only by digits
+    codes = np.frombuffer(cls, dtype=np.uint8)
+    return int(np.count_nonzero(codes[1:] > codes[:-1])), True
+
+
+def _c_int64(block: bytes, tokens: int) -> np.ndarray | None:
+    """A gated block's ``tokens`` tokens as int64 from numpy's C parser, or
+    None where its result cannot stand: not one value per token, or a value
+    at an int64 limit, where the parser saturates."""
+    try:
+        got = np.fromstring(block, dtype=np.int64, sep=" ")
+    except ValueError:
+        return None
+    if got.size != tokens or ((got == _INT64_MIN) | (got == _INT64_MAX)).any():
+        return None
+    return got
 
 
 def _int64(tokens: list[bytes], text: bytes) -> np.ndarray:
@@ -406,23 +467,34 @@ def _leading_int64(tokens: list[bytes]) -> np.ndarray:
 
 def _split_blocks(data: bytes) -> tuple[np.ndarray, int]:
     """The tokens of ``data`` as int64 up to the first bad token, and the
-    number of tokens.  ``data`` is split and converted block by block, so at
-    most one block's tokens exist as Python objects at a time.  A first pass
-    counts the tokens so that the values are one allocation: per-block parts
-    and their concatenation doubled the values and made the peak RSS depend
-    on heap layout."""
-    total = sum(len(block.split()) for block in _blocks(data))
+    number of tokens.  ``data`` is converted block by block, so at most one
+    block's tokens exist as Python objects at a time.  A first pass counts
+    and gates each block, so that the values are one allocation: per-block
+    parts and their concatenation doubled the values and made the peak RSS
+    depend on heap layout.  Gated blocks go through numpy's C parser; every
+    other block, and every gated one whose result cannot stand, goes through
+    int() token by token, which alone decides a bad token."""
+    scans = [_scan(block) for block in _blocks(data)]
+    total = sum(tokens for tokens, _ in scans)
     values = np.empty(total, dtype=np.int64)
     at = 0
-    for block in _blocks(data):
-        tokens = block.split()
-        try:
-            values[at : at + len(tokens)] = _int64(tokens, block)
-        except (ValueError, OverflowError):
-            good = _leading_int64(tokens)
-            values[at : at + good.size] = good
-            return values[: at + good.size], total
-        at += len(tokens)
+    # a numpy that warns on unmatched data, where 2.x raises, returns a short
+    # array that the count check refuses
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        for block, (tokens, gated) in zip(_blocks(data), scans):
+            fast = _c_int64(block, tokens) if gated else None
+            if fast is not None:
+                values[at : at + tokens] = fast
+            else:
+                words = block.split()
+                try:
+                    values[at : at + tokens] = _int64(words, block)
+                except (ValueError, OverflowError):
+                    good = _leading_int64(words)
+                    values[at : at + good.size] = good
+                    return values[: at + good.size], total
+            at += tokens
     return values, total
 
 

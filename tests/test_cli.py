@@ -465,6 +465,22 @@ def test_verify_side_channel(capsys):
     assert "verify needs trials >= 2" in capsys.readouterr().err
 
 
+def test_verify_out_file(tmp_path, monkeypatch, capsys):
+    argv = ["verify", "--n", "4", "--r", "2,3", "--p", "0.5,0.5", "--trials", "500", "--quiet"]
+    assert main([*argv, "--out", str(tmp_path / "pass")]) == 0
+    assert (tmp_path / "pass" / "verify.json").read_text() == capsys.readouterr().out
+
+    # a failed verify leaves its report too; out_dir from a config file
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"out_dir": str(tmp_path / "fail")}))
+    # no Monte Carlo slack: both Monte Carlo checks fail
+    monkeypatch.setattr(cli_module, "_VERIFY_Z", 0.0)
+    assert main([*argv, "--config", str(config)]) == 1
+    out = capsys.readouterr().out
+    assert json.loads(out)["passed"] is False
+    assert (tmp_path / "fail" / "verify.json").read_text() == out
+
+
 def test_verify_report_structure():
     report = run_verify(cfg_of(n=4, r=[2, 3], p=[0.5, 0.5], trials=500, seed=0))
     m2 = next(c for c in report["checks"] if c["name"] == "oracle_m2_identity")

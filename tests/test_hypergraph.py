@@ -450,24 +450,62 @@ def test_degree_mean_monte_carlo():
 # text format
 
 
-def test_text_format_bytes(tmp_path):
-    h = hypergraph_of(5, (2, [[0, 4], [1, 2]]), (3, [[0, 1, 3]]))
+def reference_text(h):
+    """The text format with one str() per vertex id."""
+    lines = [f"{h.n} {len(h.classes)}"]
+    for edges in h.classes:
+        lines.append(f"{edges.shape[1]} {edges.shape[0]}")
+        lines.extend(" ".join(map(str, row + 1)) for row in edges)
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def writer_cases():
+    # written ids 10^(d-1) and 10^d - 1 for d = 1..10 digits, capped at the
+    # int32 limit n = 2^31 - 1
+    top = 2**31 - 1
+    digits = [[10 ** (d - 1) - 1, min(10**d - 1, top) - 1] for d in range(1, 11)]
+    yield hypergraph_of(5, (2, [[0, 4], [1, 2]]), (3, [[0, 1, 3]]))
+    yield hypergraph_of(top, (2, digits), (3, []), (4, [[0, 9, 99, top - 1]]))
+    # r = 2 and r = n
+    yield hypergraph_of(12, (2, [[0, 11], [3, 4], [9, 10]]), (12, [list(range(12))]))
+    yield Hypergraph(n=7, classes=())
+    for seed in range(4):
+        yield sample_hypergraph(ModelParams.of(20, [2, 3], [0.3, 0.02]), seed=seed)
+
+
+def test_text_format_bytes(tmp_path, monkeypatch):
     path = tmp_path / "h.txt"
-    write_hypergraph_text(h, path)
-    raw = path.read_bytes()
-    assert raw == b"5 2\n2 2\n1 5\n2 3\n3 1\n1 2 4\n"
+    write_hypergraph_text(next(writer_cases()), path)
+    assert path.read_bytes() == b"5 2\n2 2\n1 5\n2 3\n3 1\n1 2 4\n"
+    for block in (None, 1, 2, 3):
+        if block is not None:
+            monkeypatch.setattr(hypergraph_module, "_WRITE_BLOCK_ROWS", block)
+        for h in writer_cases():
+            write_hypergraph_text(h, path)
+            assert path.read_bytes() == reference_text(h), (block, h.n)
 
 
 def test_text_format_roundtrip(tmp_path):
-    for seed in range(4):
-        h = sample_hypergraph(ModelParams.of(20, [2, 3], [0.3, 0.02]), seed=seed)
-        path = tmp_path / f"h{seed}.txt"
+    path = tmp_path / "h.txt"
+    for h in writer_cases():
         write_hypergraph_text(h, path)
         back = read_hypergraph_text(path)
         assert back.n == h.n
+        assert len(back.classes) == len(h.classes)
         for x, y in zip(back.classes, h.classes):
             assert x.shape == y.shape
             assert np.array_equal(x, y)
+
+
+def test_text_writer_bounds_memory(tmp_path, monkeypatch):
+    # at a fixed block size, the writer's scratch must not grow with the edge count
+    small = sample_hypergraph(ModelParams.of(100, [3], [0.125]), seed=1)
+    large = sample_hypergraph(ModelParams.of(100, [3], [0.5]), seed=1)
+    assert large.edge_counts[0] > 3.5 * small.edge_counts[0]
+    monkeypatch.setattr(hypergraph_module, "_WRITE_BLOCK_ROWS", 1024)
+    path = tmp_path / "h.txt"
+    peaks = [traced_peak_mib(write_hypergraph_text, h, path) for h in (small, large)]
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 EDGE_ROW = b"5 1\n2 1\n1 %s\n"
@@ -544,15 +582,20 @@ def test_text_format_rejects_garbage(tmp_path):
         assert read_outcome(path) == want, raw
 
 
-def test_text_reader_block_edges(tmp_path, monkeypatch):
-    # blocks of a few bytes put token boundaries on every possible offset,
-    # and the 20- and 5000-digit tokens of READER_CASES outgrow a block
-    files = [raw for raw, _ in READER_CASES]
+def sampled_files(tmp_path):
+    files = []
     for seed in range(3):
         h = sample_hypergraph(ModelParams.of(30, [2, 3], [0.2, 0.01]), seed=seed)
         path = tmp_path / "h.txt"
         write_hypergraph_text(h, path)
         files.append(path.read_bytes())
+    return files
+
+
+def test_text_reader_block_edges(tmp_path, monkeypatch):
+    # blocks of a few bytes put token boundaries on every possible offset,
+    # and the 20- and 5000-digit tokens of READER_CASES outgrow a block
+    files = [raw for raw, _ in READER_CASES] + sampled_files(tmp_path)
     path = tmp_path / "case.txt"
     whole = []
     for raw in files:
@@ -563,6 +606,69 @@ def test_text_reader_block_edges(tmp_path, monkeypatch):
         for raw, want in zip(files, whole):
             path.write_bytes(raw)
             assert read_outcome(path) == want, (block, raw)
+
+
+MUTATION_SNIPPETS = [
+    b"+", b"-", b"_", b".", b"\xd9\xa3", b"\xef\xbc\x95", b"\x1c", b"\x85",
+    b"0" * 30, b"1" * 19, b"9" * 19, b"1" * 20, b"9" * 20,
+    b"9223372036854775807", b"9223372036854775808",
+    b"-9223372036854775807", b"-9223372036854775808", b"-9223372036854775809",
+]
+
+
+def mutated_files(base, count, seed):
+    """``count`` copies of ``base``, each with one to three snippets put in
+    at a random byte, at a token's start or as a token of its own (a lone
+    sign at a line end among them); repeated signs double up."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        raw = bytearray(base)
+        for _ in range(rng.integers(1, 4)):
+            snippet = MUTATION_SNIPPETS[rng.integers(len(MUTATION_SNIPPETS))]
+            seps = [i for i, c in enumerate(raw) if c in b" \t\n\v\f\r"]
+            kind = rng.integers(3)
+            if kind == 0:
+                at = int(rng.integers(len(raw) + 1))
+            elif kind == 1:
+                starts = [0] + [i + 1 for i in seps]
+                at = starts[rng.integers(len(starts))]
+            else:
+                at = seps[rng.integers(len(seps))]
+                snippet = b" " + snippet
+            raw[at:at] = snippet
+        yield bytes(raw)
+
+
+def test_text_reader_matches_int_path(tmp_path, monkeypatch):
+    # numpy's parser behind the gate must give the outcome of int() per token
+    files = [raw for raw, _ in READER_CASES] + sampled_files(tmp_path)
+    bases = [files[-1], EDGE_ROW % b"2", b"9223372036854775807 1\n2 2\n1 2\n1 3\n"]
+    files += [raw for i, base in enumerate(bases) for raw in mutated_files(base, 150, i)]
+    path = tmp_path / "case.txt"
+    stands = []
+    c_int64 = hypergraph_module._c_int64
+
+    def counted(block, tokens):
+        got = c_int64(block, tokens)
+        stands.append(got is not None)
+        return got
+
+    monkeypatch.setattr(hypergraph_module, "_c_int64", counted)
+    with monkeypatch.context() as patch:
+        # a table that refuses every byte sends every block to int()
+        patch.setattr(hypergraph_module, "_BYTE_CLASS", b"x" * 256)
+        want = []
+        for raw in files:
+            path.write_bytes(raw)
+            want.append(read_outcome(path))
+    assert not stands
+    for block in (2**16, 3, 7):
+        monkeypatch.setattr(hypergraph_module, "_PARSE_BLOCK", block)
+        for raw, outcome in zip(files, want):
+            path.write_bytes(raw)
+            assert read_outcome(path) == outcome, (block, raw)
+    # numpy's result stood for most gated blocks
+    assert sum(stands) > 0.5 * len(stands), (sum(stands), len(stands))
 
 
 def test_text_reader_memory_bound(tmp_path):
