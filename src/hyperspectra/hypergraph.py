@@ -9,7 +9,6 @@ edge lists.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 import warnings
@@ -54,7 +53,8 @@ def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
 class Hypergraph:
     """Realized hyperedges on vertices 0..n-1, one (m_i, r_i) int32 array per
     size class, sizes non-decreasing: rows strictly ascending, pairwise
-    distinct, values in [0, n).  An empty class has shape (0, r_i)."""
+    distinct, values in [0, min(n, 2^31)).  An empty class has shape
+    (0, r_i)."""
 
     n: int
     classes: tuple[np.ndarray, ...]
@@ -76,9 +76,11 @@ class Hypergraph:
             prev_r = r
             if not np.issubdtype(edges.dtype, np.integer):
                 raise ValueError(f"class {i}: edge indices must be integers")
-            # range check before the int32 cast, which would wrap larger values
-            if edges.shape[0] and (edges.min() < 0 or edges.max() >= self.n):
-                raise ValueError(f"class {i}: vertex index outside 0..{self.n - 1}")
+            # range check before the int32 cast, which would wrap ids of 2^31
+            # and up even when n is larger
+            limit = min(self.n, 2**31)
+            if edges.shape[0] and (edges.min() < 0 or edges.max() >= limit):
+                raise ValueError(f"class {i}: vertex index outside 0..{limit - 1}")
             edges = np.ascontiguousarray(edges, dtype=np.int32)
             if edges.shape[0]:
                 # one column pair at a time: no (m, r - 1) difference array
@@ -106,7 +108,6 @@ _INT64_MAX = 2**63 - 1
 _MAX_CHUNK = 2**20
 
 
-@functools.lru_cache(maxsize=64)
 def _binomial_table(n: int, r: int) -> np.ndarray:
     """Row j holds C(c, j) for c = 0..n-1, capped at INT64_MAX."""
     table = np.zeros((r + 1, n), dtype=np.int64)
@@ -118,7 +119,6 @@ def _binomial_table(n: int, r: int) -> np.ndarray:
         wrapped = np.flatnonzero(table[j] < 0)
         if wrapped.size:
             table[j, wrapped[0] :] = _INT64_MAX
-    table.setflags(write=False)
     return table
 
 
@@ -278,12 +278,6 @@ def sample_adjacency_batches(
     return (_pair_counts(_draw_classes(rng, params, size), n, size) for size in sizes)
 
 
-@functools.lru_cache(maxsize=64)
-def _pair_columns(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column pairs (j, k), j < k, of an r-column edge array."""
-    return np.triu_indices(r, 1)
-
-
 # pair keys per bincount block, raised to the output size for large n: bounds
 # the key scratch by the result and keeps each block's bincount amortized
 _ADJACENCY_BLOCK_KEYS = 2**20
@@ -301,7 +295,7 @@ def _pair_counts(
     """
     counts = np.zeros(trials * n * n, dtype=np.int64)
     for edges, trial in parts:
-        iu, iv = _pair_columns(edges.shape[1])
+        iu, iv = np.triu_indices(edges.shape[1], 1)
         rows = max(max(_ADJACENCY_BLOCK_KEYS, counts.size) // iu.size, 1)
         for start in range(0, edges.shape[0], rows):
             block = edges[start : start + rows]
@@ -403,6 +397,10 @@ _BYTE_CLASS = bytes(
     for byte in range(256)
 )
 _INT64_MIN = -(2**63)
+# a token of README's grammar: its sign, and its digits without leading zeros
+# (one "0" for zero); started on a zero, the group matches only that zero, so
+# each step back through a long zero run costs O(1)
+_TOKEN = re.compile(rb"([+-]?)0*([1-9][0-9]{0,18}|0)")
 
 
 def _blocks(data: bytes):
@@ -444,25 +442,20 @@ def _c_int64(block: bytes, tokens: int) -> np.ndarray | None:
     return got
 
 
-def _int64(tokens: list[bytes], text: bytes) -> np.ndarray:
-    """``tokens``, split from ``text``, as int64.  Raises ValueError or
-    OverflowError where int() or int64 refuse a token, and on a '_' digit
-    separator, which int() accepts."""
-    if b"_" in text:
-        raise ValueError("'_' digit separator")
-    return np.array(tokens, dtype=np.int64)
-
-
 def _leading_int64(tokens: list[bytes]) -> np.ndarray:
-    """The tokens before the first bad one, as int64."""
-    good = 0
+    """The tokens before the first bad one, as int64.  A token is good if and
+    only if it matches [+-]?[0-9]+ and fits in int64; int() only converts
+    the at most 19 digits left after the sign and leading zeros."""
+    values = []
     for token in tokens:
-        try:
-            _int64([token], token)
-        except (ValueError, OverflowError):
+        match = _TOKEN.fullmatch(token)
+        if match is None:
             break
-        good += 1
-    return np.array(tokens[:good], dtype=np.int64)
+        value = -int(match[2]) if match[1] == b"-" else int(match[2])
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            break
+        values.append(value)
+    return np.array(values, dtype=np.int64)
 
 
 def _split_blocks(data: bytes) -> tuple[np.ndarray, int]:
@@ -473,7 +466,7 @@ def _split_blocks(data: bytes) -> tuple[np.ndarray, int]:
     parts and their concatenation doubled the values and made the peak RSS
     depend on heap layout.  Gated blocks go through numpy's C parser; every
     other block, and every gated one whose result cannot stand, goes through
-    int() token by token, which alone decides a bad token."""
+    ``_leading_int64``, which alone decides a bad token."""
     scans = [_scan(block) for block in _blocks(data)]
     total = sum(tokens for tokens, _ in scans)
     values = np.empty(total, dtype=np.int64)
@@ -483,18 +476,13 @@ def _split_blocks(data: bytes) -> tuple[np.ndarray, int]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)
         for block, (tokens, gated) in zip(_blocks(data), scans):
-            fast = _c_int64(block, tokens) if gated else None
-            if fast is not None:
-                values[at : at + tokens] = fast
-            else:
-                words = block.split()
-                try:
-                    values[at : at + tokens] = _int64(words, block)
-                except (ValueError, OverflowError):
-                    good = _leading_int64(words)
-                    values[at : at + good.size] = good
-                    return values[: at + good.size], total
-            at += tokens
+            got = _c_int64(block, tokens) if gated else None
+            if got is None:
+                got = _leading_int64(block.split())
+            values[at : at + got.size] = got
+            at += got.size
+            if got.size < tokens:
+                return values[:at], total
     return values, total
 
 

@@ -26,7 +26,6 @@ values are exposed alongside and degrade to inf/0 when not representable.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import numbers
 import operator
@@ -242,12 +241,11 @@ class DerivedStats:
     log_class_count: tuple[float, ...]
 
 
-@functools.lru_cache(maxsize=256)
 def derive_stats(params: ModelParams) -> DerivedStats:
     """Closed-form entry statistics of the adjacency matrix for ``params``.
 
-    Pure in ``params``; results are memoized, so repeated calls in sampling
-    loops are free.
+    Pure in ``params`` and computed afresh on every call, in tens of
+    microseconds.
     """
     n = params.n
     sigma_i_sq = tuple(p * (1.0 - p) for p in params.p)
@@ -499,10 +497,8 @@ def _pastur_tail(params: ModelParams, eps: float, per_edge) -> PasturTail:
         raise ValueError(f"eps must be positive, got {eps}")
     stats = derive_stats(params)
     threshold = _exp(stats.log_K_n + math.log(eps))
-    log_per_class = tuple(
-        lcc + _log_or_neg_inf(per_edge(p, s2, threshold))
-        for lcc, p, s2 in zip(stats.log_class_count, params.p, stats.sigma_i_sq)
-    )
+    tails = (per_edge(p, s2, threshold) for p, s2 in zip(params.p, stats.sigma_i_sq))
+    log_per_class = _log_class_terms(params, 0, tails)
     log_total = _logsumexp(log_per_class)
     log_rhs_scale = (
         2.0 * math.log(params.n)
@@ -599,14 +595,12 @@ def chatterjee_bound(params: ModelParams, z: complex, eps: float) -> ChatterjeeB
     gaus = pastur_lhs_gaussian(params, eps)
     threshold = bern.threshold
 
-    log_trunc3 = _logsumexp(
-        lcc
-        + _log_or_neg_inf(
-            bernoulli_truncated_third_moment(p, threshold)
-            + gaussian_truncated_third_moment(math.sqrt(s2), threshold)
-        )
-        for lcc, p, s2 in zip(stats.log_class_count, params.p, stats.sigma_i_sq)
+    trunc3_terms = (
+        bernoulli_truncated_third_moment(p, threshold)
+        + gaussian_truncated_third_moment(math.sqrt(s2), threshold)
+        for p, s2 in zip(params.p, stats.sigma_i_sq)
     )
+    log_trunc3 = _logsumexp(_log_class_terms(params, 0, trunc3_terms))
 
     log_tails = _logsumexp((bern.log_total, gaus.log_total))
     log_term1 = math.log(2.0) + log_lambda2 + log_tails if log_tails != _NEG_INF else _NEG_INF

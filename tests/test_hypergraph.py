@@ -1,5 +1,6 @@
 """Sampler law checks, adjacency construction, and the text interchange format."""
 
+import gc
 import itertools
 import math
 import tracemalloc
@@ -61,6 +62,9 @@ def test_hypergraph_rejects_bad_rows():
         hypergraph_of(4, (3, [[0, 1, 2]]), (2, [[0, 1]]))  # class order
     with pytest.raises(ValueError):
         Hypergraph(n=4, classes=(np.array([0, 1]),))  # not an (m, r) array
+    with pytest.raises(ValueError):
+        # below n, but would wrap to vertex 1 in int32
+        Hypergraph(n=2**40, classes=(np.array([[0, 2**32 + 1]]),))
 
 
 def test_hypergraph_validation_memory_bound():
@@ -110,6 +114,21 @@ def test_sample_determinism_and_seed_sensitivity():
     assert any(
         x.shape != y.shape or not np.array_equal(x, y) for x, y in zip(a.classes, c.classes)
     )
+
+
+def test_sample_keeps_nothing_after_return():
+    # a memo of the rank walk's binomial table would keep (r + 1) n int64,
+    # 30.5 MiB; no other test draws this (n, r), so none could fill it first
+    tracemalloc.start()
+    try:
+        h = sample_hypergraph(ModelParams.of(1_000_003, [3], [1e-12]), seed=0)
+        assert h.edge_counts[0] > 150_000
+        del h
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert kept < 4.0, kept
 
 
 def test_sample_rows_canonical():
@@ -511,7 +530,8 @@ def test_text_writer_bounds_memory(tmp_path, monkeypatch):
 EDGE_ROW = b"5 1\n2 1\n1 %s\n"
 LONG = b"5" * 20
 # (file, (n, 0-based edge rows) if accepted, else the exact error message);
-# every outcome but the 0_2 one is the same as with bytes.split() and int()
+# every outcome but the 0_2 one and the three with 4400 leading zeros is the
+# same as with bytes.split() and int()
 READER_CASES = [
     (EDGE_ROW % b"9", "class 0: vertex index outside 0..4"),
     (b"5 1\n2 2\n1 2\n", "truncated hypergraph file: expected class 0 edges"),
@@ -538,7 +558,13 @@ READER_CASES = [
     (EDGE_ROW % b"0002", (5, [[0, 1]])),
     (EDGE_ROW % (b"0" * 26 + b"2"), (5, [[0, 1]])),
     (b"5 1\n2 1\n1 -" + b"0" * 30 + b"3\n", "class 0: vertex index outside 0..4"),
+    # longer than int()'s 4300-digit limit
+    (EDGE_ROW % (b"0" * 4400 + b"2"), (5, [[0, 1]])),
+    (EDGE_ROW % (b"0" * 4400 + b"2") + b"\x85\n", "trailing data after the last declared edge"),
+    (EDGE_ROW % (b"-" + b"0" * 4400 + b"3"), "class 0: vertex index outside 0..4"),
     (b"9223372036854775807 1\n2 1\n1 2\n", (9223372036854775807, [[0, 1]])),
+    # below n, but would wrap to vertex 2 in int32
+    (b"10000000000 1\n2 1\n1 4294967299\n", "class 0: vertex index outside 0..2147483647"),
     (EDGE_ROW % b"9223372036854775807", "class 0: vertex index outside 0..4"),
     (EDGE_ROW % b"9223372036854775808", "bad integer in hypergraph file near class 0 edges"),
     (EDGE_ROW % b"-9223372036854775809", "bad integer in hypergraph file near class 0 edges"),
@@ -640,7 +666,8 @@ def mutated_files(base, count, seed):
 
 
 def test_text_reader_matches_int_path(tmp_path, monkeypatch):
-    # numpy's parser behind the gate must give the outcome of int() per token
+    # numpy's parser behind the gate must give the outcome of the per-token
+    # converter
     files = [raw for raw, _ in READER_CASES] + sampled_files(tmp_path)
     bases = [files[-1], EDGE_ROW % b"2", b"9223372036854775807 1\n2 2\n1 2\n1 3\n"]
     files += [raw for i, base in enumerate(bases) for raw in mutated_files(base, 150, i)]
@@ -655,7 +682,7 @@ def test_text_reader_matches_int_path(tmp_path, monkeypatch):
 
     monkeypatch.setattr(hypergraph_module, "_c_int64", counted)
     with monkeypatch.context() as patch:
-        # a table that refuses every byte sends every block to int()
+        # a table that refuses every byte sends every block to the converter
         patch.setattr(hypergraph_module, "_BYTE_CLASS", b"x" * 256)
         want = []
         for raw in files:
