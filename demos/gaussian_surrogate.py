@@ -15,6 +15,7 @@ from hyperspectra import (
     esd,
     ks_distance,
     log_expected_edges,
+    predicted_variance,
     sample_surrogate,
     surrogate_coefficients,
 )
@@ -27,12 +28,12 @@ print("gamma_n  :", profile.gamma_n)
 print("rho_n    :", profile.rho_n)
 print("theta_sq :", profile.theta_sq)
 
-c = 600 / 2000
-print("(1-c)^2  :", (1.0 - c) ** 2)
+s2 = predicted_variance(params)
+print("s2_pred  :", s2)
 
 coeffs = surrogate_coefficients(profile)
 eigs = np.concatenate(
     [eigenvalues(sample_surrogate(params.n, coeffs, seed)) for seed in range(3)]
 )
-ks = ks_distance(esd(eigs), SemicircleLaw((1.0 - 598.0 / 1998.0) ** 2))
-print("KS to the (1-c)^2 semicircle:", round(ks, 4))
+ks = ks_distance(esd(eigs), SemicircleLaw(s2))
+print("KS to the s2_pred semicircle:", round(ks, 4))

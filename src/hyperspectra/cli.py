@@ -483,8 +483,6 @@ def run_montecarlo(cfg: dict, force_engine: str | None = None) -> dict:
                 "expected edge count exceeds budget.max_edges; "
                 "switched to the gaussian surrogate"
             )
-    elif engine == "bernoulli":
-        check_budget(params, max_edges)
 
     coeffs = None
     if engine == "gaussian-surrogate":
@@ -493,8 +491,8 @@ def run_montecarlo(cfg: dict, force_engine: str | None = None) -> dict:
     def one_trial(t: int) -> np.ndarray:
         ts = _trial_seed(seed, t)
         if engine == "bernoulli":
-            h = sample_hypergraph(params, ts, max_edges)
-            return eigenvalues(center_scale(adjacency(h), params))
+            (A,) = next(sample_adjacency_batches(params, ts, 1, max_edges))
+            return eigenvalues(center_scale(A, params))
         return eigenvalues(sample_surrogate(params.n, coeffs, ts))
 
     if workers > 1:

@@ -8,7 +8,8 @@ with W_uv, g_u, g i.i.d. standard normal, theta = sqrt(theta^2),
 alpha = sqrt(gamma - rho), beta = sqrt(rho).  Then Var U_uv = 1, entries
 sharing one vertex have covariance gamma, vertex-disjoint entries rho.
 The sampled matrix is symmetric with zero diagonal, scaled by 1/sqrt(n).
-The (g_u + g_v) and g parts form a perturbation of rank at most 3.
+Before the diagonal is zeroed, the (g_u + g_v) and g parts form a
+perturbation of rank at most 2: its column space is span{1, (g_u)}.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """The benchmark's layer tracer rebinds names on ``hyperspectra.cli`` and
 ``hyperspectra.hypergraph``; every name it targets must exist and be callable,
-and a traced CLI run must still work and be counted, or a traced benchmark
-run breaks.  The benchmark's output checks must accept a fresh ``verify``
-report, or a report-schema drift fails the benchmark rather than the tests."""
+and traced CLI runs (sample + spectrum, montecarlo) must still work and be
+counted, or a traced benchmark run breaks.  The benchmark's output checks
+must accept a fresh ``verify`` report, or a report-schema drift fails the
+benchmark rather than the tests."""
 
 import importlib.util
 from pathlib import Path
@@ -71,6 +72,25 @@ def test_layertrace_traces_sample_and_spectrum(tmp_path, capsys):
     assert metrics["hypergraph.adjacency.peak_mib"] > 0
     reader_peak = metrics["hypergraph.read_hypergraph_text.peak_mib"]
     assert 0 < reader_peak <= 6.0 * metrics["hypergraph.text_mib"]
+
+
+def test_layertrace_traces_montecarlo(tmp_path, capsys):
+    # the benchmark's traced mixture_montecarlo round: every trial is counted
+    # at eigenvalues and center_scale
+    tracer = load_perfbench("layertrace").Tracer()
+    argv = [
+        "montecarlo", "--n", "200", "--r", "2,3", "--p", "0.1,0.005", "--seed", "3",
+        "--trials", "3", "--workers", "1", "--out", str(tmp_path), "--emit", "json,csv", "--quiet",
+    ]
+    tracer.install(MODULES)
+    try:
+        assert hyperspectra.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = tracer.layer_metrics(1, 3)
+    assert metrics["spectral.eigenvalues.calls"] == 3
+    assert metrics["hypergraph.center_scale.s"] > 0
 
 
 def test_bench_check_verify_accepts_report():

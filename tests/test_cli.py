@@ -13,6 +13,7 @@ from scipy import stats as sps
 
 import hyperspectra.cli as cli_module
 import hyperspectra.hypergraph as hypergraph_module
+from hyperspectra import ModelParams, adjacency, center_scale, eigenvalues, sample_hypergraph
 from hyperspectra.cli import (
     ConfigError,
     dumps,
@@ -230,20 +231,26 @@ def test_sample_dense_class_exits_zero(tmp_path, capsys):
     assert np.unique(rows, axis=0).shape[0] == m
 
 
-def test_dense_allocation_failure_exit(monkeypatch, capsys):
-    def no_memory(h):
+def test_dense_allocation_failure_exit(tmp_path, monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate dense matrix")
 
-    monkeypatch.setattr("hyperspectra.cli.adjacency", no_memory)
-    code = main(
+    # spectrum builds its matrix through adjacency, montecarlo's Bernoulli
+    # trials through the batch sampler's pair counts
+    hpath = tmp_path / "h.txt"
+    hpath.write_text("4 1\n2 0\n")
+    monkeypatch.setattr(cli_module, "adjacency", no_memory)
+    monkeypatch.setattr(hypergraph_module, "_pair_counts", no_memory)
+    for argv in (
+        ["spectrum", str(hpath), "--n", "4", "--r", "2", "--p", "0.5", "--out", str(tmp_path)],
         [
             "montecarlo",
             "--n", "30", "--r", "2", "--p", "0.2",
             "--trials", "1", "--engine", "bernoulli", "--quiet",
-        ]
-    )
-    assert code == 4
-    assert "error: out of memory: Unable to allocate dense matrix" in capsys.readouterr().err
+        ],
+    ):
+        assert main(argv) == 4
+        assert "error: out of memory: Unable to allocate dense matrix" in capsys.readouterr().err
 
 
 def test_montecarlo_huge_bins_exit(capsys):
@@ -369,7 +376,7 @@ def test_montecarlo_bernoulli_budget_exit(monkeypatch, capsys):
     def never(*args, **kwargs):
         raise AssertionError("sampled past the budget")
 
-    monkeypatch.setattr(cli_module, "sample_hypergraph", never)
+    monkeypatch.setattr(hypergraph_module, "_draw_classes", never)
     argv = ["--n", "2000", "--r", "600", "--p", "0.3", "--trials", "3", "--quiet"]
     for workers in ("1", "3"):
         assert main(["montecarlo", *argv, "--engine", "bernoulli", "--workers", workers]) == 4
@@ -409,6 +416,37 @@ def test_montecarlo_emit_files(tmp_path, capsys):
         assert len(lines) == 41
     svg = (tmp_path / "montecarlo.svg").read_text()
     assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
+
+
+@pytest.mark.parametrize(
+    "r, p",
+    [
+        ((2, 3), (0.1, 0.05)),  # both classes on the rank walk
+        ((2, 15), (0.05, 1e-18)),  # C(200, 15) > 2^62: the r = 15 class is on the Poisson path
+    ],
+)
+def test_montecarlo_trial_is_one_draw(tmp_path, capsys, r, p):
+    # trial t is the single hypergraph sample_hypergraph draws from
+    # _trial_seed(seed, t), whatever the worker count
+    params = ModelParams.of(200, list(r), list(p))
+    seed, trials = 11, 3
+    expected = []
+    for t in range(trials):
+        h = sample_hypergraph(params, cli_module._trial_seed(seed, t))
+        expected.append(cli_module._eigs_csv(eigenvalues(center_scale(adjacency(h), params))))
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert main(
+            [
+                "montecarlo",
+                "--n", "200", "--r", ",".join(map(str, r)), "--p", ",".join(map(repr, p)),
+                "--trials", str(trials), "--seed", str(seed), "--engine", "bernoulli",
+                "--workers", workers, "--out", str(out), "--emit", "csv", "--quiet",
+            ]
+        ) == 0
+        for t in range(trials):
+            assert (out / f"eigenvalues_trial{t:04d}.csv").read_text() == expected[t]
+    capsys.readouterr()
 
 
 def test_montecarlo_zero_predicted_variance(capsys):
