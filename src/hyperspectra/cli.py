@@ -213,8 +213,6 @@ def _require_int(cfg: dict, key: str, low: int, high: int | None = None) -> None
 
 
 def _validate_config(cfg: dict) -> None:
-    if cfg["n"] is not None:
-        _require_int(cfg, "n", 2)
     for key in ("r", "p"):
         if cfg[key] is not None and not isinstance(cfg[key], (list, tuple)):
             raise ConfigError(f"{key} must be a list")
@@ -322,7 +320,7 @@ def run_analyze(cfg: dict) -> dict:
             "log_d": list(stats.log_d),
             "K_n": stats.K_n,
             "log_K_n": stats.log_K_n,
-            "r_max": stats.r_max,
+            "r_max": params.r_max,
             "log_class_count": list(stats.log_class_count),
         },
         "covariance_profile": {
@@ -379,7 +377,7 @@ def run_sample(cfg: dict) -> str:
 
 
 def _eigs_csv(eigs: np.ndarray) -> str:
-    return "lambda\n" + "".join(format(float(v), ".17g") + "\n" for v in eigs)
+    return "lambda\n" + "".join(_fmt_float(float(v)) + "\n" for v in eigs)
 
 
 def run_spectrum(cfg: dict, hypergraph_path: str) -> tuple[str, np.ndarray]:
@@ -463,7 +461,7 @@ def _svg_histogram(
     return "\n".join(parts) + "\n"
 
 
-def run_montecarlo(cfg: dict, force_engine: str | None = None) -> dict:
+def run_montecarlo(cfg: dict, command: str = "montecarlo") -> dict:
     params = _params_from_config(cfg)
     max_edges = cfg["budget"]["max_edges"]
     seed = cfg["seed"]
@@ -471,7 +469,7 @@ def run_montecarlo(cfg: dict, force_engine: str | None = None) -> dict:
     bins = cfg["bins"]
     workers = cfg["workers"]
 
-    engine = force_engine or cfg["engine"]
+    engine = "gaussian-surrogate" if command == "gaussian" else cfg["engine"]
     notes: list[str] = []
     if engine == "auto":
         try:
@@ -514,7 +512,7 @@ def run_montecarlo(cfg: dict, force_engine: str | None = None) -> dict:
 
     report = {
         "schema_version": SCHEMA_VERSION,
-        "command": "montecarlo" if force_engine is None else "gaussian",
+        "command": command,
         "params": _params_dict(params),
         "engine": engine,
         "seed": seed,
@@ -767,8 +765,7 @@ def main(argv: list[str] | None = None) -> int:
             path, _ = run_spectrum(cfg, args.hypergraph)
             print(path)
         elif args.command in ("montecarlo", "gaussian"):
-            force = "gaussian-surrogate" if args.command == "gaussian" else None
-            report = run_montecarlo(cfg, force_engine=force)
+            report = run_montecarlo(cfg, args.command)
             _emit_report(report, cfg)
         elif args.command == "verify":
             report = run_verify(cfg)
@@ -786,9 +783,6 @@ def main(argv: list[str] | None = None) -> int:
             if not report["passed"]:
                 return 1
         return 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DegenerateModelError as exc:
         print(f"error: degenerate model: {exc}", file=sys.stderr)
         return 3

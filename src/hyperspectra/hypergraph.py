@@ -213,6 +213,8 @@ def _draw_classes(
     out grouped by trial, each group in ascending rank order.
     """
     n = params.n
+    if n > 2**31:
+        raise ValueError(f"n = {n} exceeds 2^31: vertex ids are int32")
     parts = []
     for r, p in params.classes:
         trial = np.empty(0, dtype=np.int64)
@@ -262,13 +264,14 @@ def sample_adjacency_batches(
     """Pair-count matrices of ``trials`` independent draws from the model,
     yielded as (t, n, n) int64 stacks, batch by batch.
 
-    All batches come from one stream seeded by ``seed``, each class of a
-    batch from one rank walk; a batch holds as many trials as fit
-    ``_TRIAL_BATCH_BYTES`` as float64, at least one.  A one-trial draw
-    consumes the stream exactly as ``sample_hypergraph`` does.  The budget
-    refusal is that of ``sample_hypergraph``, per trial, and comes at the
-    call, before any batch is drawn.  Needs trials * C(n, r_i) < 2^62 per
-    batch.
+    All batches come from one stream seeded by ``seed``; a batch holds as
+    many trials as fit ``_TRIAL_BATCH_BYTES`` as float64, at least one.  A
+    one-trial batch consumes the stream exactly as ``sample_hypergraph``
+    does, its Poisson path included.  A batch of t > 1 trials draws each
+    class from one rank walk, so it needs t * C(n, r_i) < 2^62 and raises
+    ValueError when drawn otherwise.  The budget refusal is that of
+    ``sample_hypergraph``, per trial, and comes at the call, before any
+    batch is drawn.
     """
     check_budget(params, max_edges)
     rng = np.random.default_rng(seed)

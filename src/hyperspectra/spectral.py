@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -174,24 +174,20 @@ def empirical_stieltjes(eigs, z: complex) -> complex:
 # distances and moments
 
 
-def _ks_against_cdf(m: EmpiricalMeasure, cdf: Callable) -> float:
-    """sup_x |F_m(x) - F(x)| over the measure's atoms, taking both one-sided
-    limits at each atom."""
+def ks_distance(m: EmpiricalMeasure, law) -> float:
+    """Kolmogorov distance sup_x |F_m(x) - F(x)| between the measure and any
+    target with a ``cdf`` (a ``SemicircleLaw``, an ``EmpiricalMeasure``),
+    taking both one-sided limits at each atom."""
     x = m.atoms
     size = x.size
-    F = np.asarray(cdf(x), dtype=np.float64)
+    F = np.asarray(law.cdf(x), dtype=np.float64)
     # left limit matters when the target cdf itself jumps at an atom
-    F_left = np.asarray(cdf(np.nextafter(x, -np.inf)), dtype=np.float64)
+    F_left = np.asarray(law.cdf(np.nextafter(x, -np.inf)), dtype=np.float64)
     upper = np.arange(1, size + 1) / size
     lower = np.arange(0, size) / size
     d_plus = float(np.max(upper - F))
     d_minus = float(np.max(F_left - lower))
     return max(d_plus, d_minus, 0.0)
-
-
-def ks_distance(m: EmpiricalMeasure, law: SemicircleLaw) -> float:
-    """Kolmogorov distance between the measure and a semicircle law."""
-    return _ks_against_cdf(m, law.cdf)
 
 
 def moment(m: EmpiricalMeasure, k: int) -> float:

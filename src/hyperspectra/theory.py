@@ -237,7 +237,6 @@ class DerivedStats:
     log_K_n: float
     K_n: float
     log_nonsparsity_ratio: float
-    r_max: int
     log_class_count: tuple[float, ...]
 
 
@@ -281,7 +280,6 @@ def derive_stats(params: ModelParams) -> DerivedStats:
         log_K_n=log_K_n,
         K_n=_exp(log_K_n),
         log_nonsparsity_ratio=log_a - log_b - log_c,
-        r_max=r_max,
         log_class_count=log_class_count,
     )
 
@@ -503,7 +501,7 @@ def _pastur_tail(params: ModelParams, eps: float, per_edge) -> PasturTail:
     log_rhs_scale = (
         2.0 * math.log(params.n)
         + stats.log_sigma_sq
-        - 4.0 * math.log(stats.r_max)
+        - 4.0 * math.log(params.r_max)
     )
     return PasturTail(
         eps=eps,
@@ -570,11 +568,9 @@ def chatterjee_bound(params: ModelParams, z: complex, eps: float) -> ChatterjeeB
     b = z.imag
     if not (b > 0.0):
         raise ValueError(f"need Im z > 0, got z = {z}")
-    if not (eps > 0.0) or math.isnan(eps):
-        raise ValueError(f"eps must be positive, got {eps}")
     stats = derive_stats(params)
     n = params.n
-    r_max = stats.r_max
+    r_max = params.r_max
     log_b = math.log(b)
     log_r_term = math.log(r_max) + math.log(r_max - 1)
 

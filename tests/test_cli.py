@@ -183,6 +183,58 @@ def test_config_file_rejects_untyped_classes(tmp_path, capsys, classes):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"budget": 5}, "budget must be an object"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"workers": 0}, "workers must be >= 1, got 0"),
+        ({"r": 3}, "r must be a list"),
+        ({"z": [1.0]}, "z must be [re, im], got [1.0]"),
+        ({"format": "xml"}, "format must be json or csv, got 'xml'"),
+        ({"quiet": "yes"}, "quiet must be a boolean, got 'yes'"),
+    ],
+    ids=["budget", "seed", "workers", "r", "z", "format", "quiet"],
+)
+def test_config_file_rejects_bad_values(tmp_path, capsys, values, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"n": 5, "r": [2], "p": [0.5], **values}))
+    assert main(["analyze", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_config_file_array_and_nulls(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text("[1, 2]")
+    assert main(["analyze", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: config file {path} must hold a JSON object\n"
+    # a null value keeps the default
+    path.write_text(json.dumps({"n": 5, "r": [2], "p": [0.5], "eps": None, "z": None}))
+    assert main(["analyze", "--config", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pastur"]["eps"] == 1.0
+    assert report["chatterjee"]["z"] == [0.0, 1.0]
+
+
+def test_flag_refusals(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--n", "5", "--r", "2,x", "--p", "0.5"])
+    assert exc.value.code == 2
+    assert "argument --r: bad integer list '2,x'" in capsys.readouterr().err
+    # ModelParams refuses the vertex count
+    assert main(["analyze", "--n", "1", "--r", "2", "--p", "0.5"]) == 2
+    assert capsys.readouterr().err == "error: need an integer vertex count n >= 2, got 1\n"
+
+
+def test_analyze_zero_variance_class(capsys):
+    # p = 1 in class 1: no variance, so no weight and no tail mass there
+    assert main(["analyze", "--n", "50", "--r", "2,3", "--p", "0.1,1.0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["derived"]["w_fin"] == [1.0, 0.0]
+    for law in ("bernoulli", "gaussian"):
+        assert report["pastur"][law]["log_per_class"][1] == "-inf"
+
+
 # ---------------------------------------------------------------------------
 # sample and spectrum
 
@@ -209,6 +261,17 @@ def test_sample_budget_exit(capsys):
     )
     assert code == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("r, p", [("3", "1e-22"), ("2", "1e-13")], ids=["poisson", "rank-walk"])
+def test_sample_refuses_ids_past_int32(monkeypatch, capsys, r, p):
+    def never(*args, **kwargs):
+        raise AssertionError("allocated for vertex ids past int32")
+
+    monkeypatch.setattr(hypergraph_module, "_binomial_table", never)
+    monkeypatch.setattr(hypergraph_module, "_poisson_subsets", never)
+    assert main(["sample", "--n", "3000000000", "--r", r, "--p", p]) == 2
+    assert capsys.readouterr().err == "error: n = 3000000000 exceeds 2^31: vertex ids are int32\n"
 
 
 def test_sample_dense_class_exits_zero(tmp_path, capsys):
@@ -296,6 +359,14 @@ def test_spectrum_mismatched_model(tmp_path, capsys):
     assert main(["spectrum", str(hpath), "--n", "4", "--r", "3", "--p", "0.5"]) == 2
     assert main(["spectrum", str(tmp_path / "no.txt"), "--n", "4", "--r", "2", "--p", "0.5"]) == 5
     capsys.readouterr()
+
+
+def test_spectrum_scale_not_representable(tmp_path, capsys):
+    # n sigma^2 = 2000 C(1998, 598) 0.21 overflows a double
+    path = tmp_path / "h.txt"
+    path.write_text("2000 1\n600 0\n")
+    assert main(["spectrum", str(path), "--n", "2000", "--r", "600", "--p", "0.3"]) == 2
+    assert "scale sqrt(n sigma^2) not representable" in capsys.readouterr().err
 
 
 def test_spectrum_huge_integer_exit(tmp_path, capsys):

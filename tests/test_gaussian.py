@@ -142,3 +142,13 @@ def test_entry_normality():
     kurt = np.mean(z**4) - 3.0
     assert abs(skew) < 0.1
     assert abs(kurt) < 0.2
+
+
+def test_surrogate_refusals():
+    c = surrogate_coefficients(CovarianceProfile(rho_n=0.0, gamma_n=0.0, theta_sq=1.0))
+    with pytest.raises(ValueError) as exc:
+        sample_surrogate(1, c, seed=0)
+    assert str(exc.value) == "need an integer n >= 2, got 1"
+    with pytest.raises(ValueError) as exc:
+        surrogate_coefficients(CovarianceProfile(rho_n=1.5, gamma_n=0.1, theta_sq=0.2))
+    assert str(exc.value) == "profile outside [0, 1]: rho=1.5, gamma=0.1"

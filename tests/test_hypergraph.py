@@ -67,6 +67,16 @@ def test_hypergraph_rejects_bad_rows():
         Hypergraph(n=2**40, classes=(np.array([[0, 2**32 + 1]]),))
 
 
+def test_hypergraph_rejects_bad_class_arrays():
+    for r in (1, 5):
+        with pytest.raises(ValueError) as exc:
+            Hypergraph(n=4, classes=(np.zeros((0, r), dtype=np.int32),))
+        assert str(exc.value) == f"class 0: size {r} outside 2..4"
+    with pytest.raises(ValueError) as exc:
+        Hypergraph(n=4, classes=(np.array([[0.0, 1.0]]),))
+    assert str(exc.value) == "class 0: edge indices must be integers"
+
+
 def test_hypergraph_validation_memory_bound():
     # the reader hands over int64 rows; checking them must cost less than
     # they do (a (m, r - 1) difference array and key temporaries cost 1.0x)
@@ -311,6 +321,16 @@ def test_sample_near_complete_thinning():
     assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
 
 
+def test_sampler_admits_n_at_int32_limit(monkeypatch):
+    # ids 0..2^31 - 1 fit int32, so n = 2^31 gets past the guard to the draw
+    def never(*args, **kwargs):
+        raise AssertionError("drawn")
+
+    monkeypatch.setattr(hypergraph_module, "_binomial_table", never)
+    with pytest.raises(AssertionError, match="drawn"):
+        sample_hypergraph(ModelParams.of(2**31, [2], [1e-13]), seed=0)
+
+
 # ---------------------------------------------------------------------------
 # batched trials
 
@@ -378,6 +398,18 @@ def test_batched_trials_law(monkeypatch):
         observed = np.bincount(first * 11 + second, minlength=121)
         expected = first.size * np.outer(pmf, pmf).ravel()
         assert pooled_chisquare_pvalue(observed, expected) > 0.001, label
+
+
+def test_batches_refuse_rank_overflow(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("drew before the refusal")
+
+    monkeypatch.setattr(hypergraph_module, "_bernoulli_ranks", never)
+    monkeypatch.setattr(hypergraph_module, "_poisson_subsets", never)
+    # n = 100 puts 3 trials in a batch, and C(100, 20) alone exceeds 2^62
+    with pytest.raises(ValueError) as exc:
+        next(sample_adjacency_batches(ModelParams.of(100, [20], [1e-18]), 0, 3))
+    assert str(exc.value) == "3 trials of C(100, 20) subsets exceed 2^62 ranks"
 
 
 # ---------------------------------------------------------------------------

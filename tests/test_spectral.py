@@ -28,7 +28,6 @@ from hyperspectra import (
     surrogate_coefficients,
 )
 from hyperspectra import CovarianceProfile
-from hyperspectra.spectral import _ks_against_cdf
 
 
 def quad_semicircle(f, s_sq: float) -> float:
@@ -243,4 +242,27 @@ def test_ks_point_mass_against_semicircle():
 def test_ks_measure_against_own_cdf():
     rng = np.random.default_rng(3)
     m = esd(rng.standard_normal(257))
-    assert _ks_against_cdf(m, m.cdf) == 0.0
+    assert ks_distance(m, m) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: eigenvalues(np.zeros((2, 3))), "need a square matrix, got shape (2, 3)"),
+        (lambda: eigenvalues(np.array([[0.0, np.nan], [np.nan, 0.0]])), "matrix entries must be finite"),
+        (lambda: EmpiricalMeasure(np.array([0.0, np.inf])), "atoms must be finite"),
+        (lambda: average_esd([], 10), "need at least one measure"),
+        (lambda: average_esd([esd([0.0])], 0), "need an integer bin count >= 1, got 0"),
+        (lambda: empirical_stieltjes([], 1j), "need at least one eigenvalue"),
+        (lambda: moment(esd([0.0]), -1), "need an integer moment order >= 0, got -1"),
+    ],
+    ids=["non-square", "nan-entry", "inf-atom", "no-measures", "zero-bins", "no-eigenvalues", "negative-order"],
+)
+def test_spectral_refusals(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -516,3 +516,49 @@ def test_chatterjee_domain():
         chatterjee_bound(params, 1.0 - 2.0j, 1.0)
     with pytest.raises(ValueError):
         chatterjee_bound(params, 1j, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ModelParams.of(5, [3, 2], [0.5, 0.5]), "class sizes must be non-decreasing"),
+        (lambda: ModelParams.of(5, [2], [1.5]), "class 0: probability 1.5 outside [0, 1]"),
+        (lambda: ModelParams(n=5, classes=()), "need at least one size class"),
+        (lambda: ModelParams.of(5, [2, 3], [0.5]), "got 2 sizes but 1 probabilities"),
+        (lambda: limit_variance([1.0], [0.0, 0.0]), "got 1 weights but 2 size fractions"),
+        (lambda: limit_variance([], []), "need at least one class"),
+        (lambda: limit_variance([1.5, -0.5], [0.0, 0.0]), "class 0: weight 1.5 outside [0, 1]"),
+        (
+            lambda: classify_regime_k2(ModelParams.of(10, [2, 3], [0.5, 0.5]), delta=0.6),
+            "delta must lie in (0, 0.5), got 0.6",
+        ),
+        (lambda: pastur_lhs_bernoulli(ModelParams.of(50, [3], [0.2]), 0.0), "eps must be positive, got 0.0"),
+    ],
+    ids=[
+        "decreasing-sizes", "p-above-1", "no-classes", "unequal-lists",
+        "limit-unequal-lists", "limit-empty", "limit-weight-above-1", "regime-delta", "pastur-eps",
+    ],
+)
+def test_theory_refusals(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_chatterjee_reports_degenerate_model_before_eps():
+    # the eps check belongs to the Pastur tails, which run after derive_stats
+    with pytest.raises(DegenerateModelError):
+        chatterjee_bound(ModelParams.of(5, [2], [1.0]), 1j, 0.0)
+
+
+def test_gaussian_moments_at_extreme_scales():
+    # t / sigma overflows to inf: no tail mass is left
+    assert gaussian_tail_second_moment(1e-320, 1.0) == 0.0
+    # past a = 1e8 the truncated third moment is its a -> inf limit E|Z|^3
+    assert gaussian_truncated_third_moment(1.0, 1e9) == pytest.approx(
+        4.0 / math.sqrt(2.0 * math.pi), rel=1e-15
+    )
