@@ -1,20 +1,24 @@
 """Exact brute-force reference values for tiny models.
 
-Enumerates all 2^M edge configurations (M = total number of possible
-hyperedges) with their exact probabilities, so anything computable from the
-adjacency matrix gets an exact expectation.  Intentionally independent of the
-sampler: only the closed-form entry statistics are shared.
+Sums over all 2^M edge configurations (M = total number of possible
+hyperedges) with their exact probabilities, so the statistics below get
+exact expectations.  Intentionally independent of the sampler: only the
+closed-form entry statistics are shared.
 
-The enumeration meets in the middle.  The M edge variables are split into a
-low half of ceil(M/2) and a high half of floor(M/2); each half's partial
-values (summed over its present edges) and probabilities are tabulated once,
-and every configuration is a low entry plus a high entry, weighted by the
-product of their probabilities.  Each step pairs the whole low table with a
-few high entries, so it holds about 2^ceil(M/2) * n^2 floats.
+The sum meets in the middle.  The M edge variables are split into a low half
+of ceil(M/2) and a high half of floor(M/2), and every configuration is a low
+configuration plus an independent high one.  Each statistic is written as a
+bilinear form f(low) . g(high) of per-half feature rows, so E = E[f] . E[g]
+and E[statistic^2] = <E[f f^T], E[g g^T]> (Frobenius): each half reduces to
+the probability-weighted mean and Gram matrix of its features over its own
+2^ceil(M/2) or 2^floor(M/2) configurations, and no pair of configurations is
+ever formed.  The halves are read in tiles of about _TILE_FLOATS floats per
+array, so the working set is one tile's arrays and the Gram matrices.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,9 +36,10 @@ __all__ = [
 ]
 
 _MAX_EDGE_VARIABLES = 20
-_MAX_MOMENT = 8
-# floats of one enumeration step's (high entries, low table, values) array
-_STEP_FLOATS = 2**15
+# tr H^k for k >= 5 has words with three factors from one half, whose
+# bilinear form needs features cubic in the other half's coordinates
+_MAX_MOMENT = 4
+_TILE_FLOATS = 2**15
 
 
 def _check_edge_variables(M: int, what: str = "") -> None:
@@ -57,32 +62,107 @@ def check_oracle_domain(params: ModelParams) -> None:
     _check_entry_pairs(params.n)
 
 
-def _half_table(rows: np.ndarray, p_edge: np.ndarray, start: np.ndarray):
-    """Values start + sum of the present edges' rows, and probabilities, of
-    the 2^m configurations of m edge variables; bit l of a configuration's
-    index is edge l."""
-    values = start[None, :]
-    weights = np.ones(1)
-    for row, p in zip(rows, p_edge):
-        values = np.concatenate((values, values + row))
-        weights = np.concatenate((weights * (1.0 - p), weights * p))
-    return values, weights
+def _members(edges, n: int) -> np.ndarray:
+    """(M, n) 0/1 vertex membership of each hyperedge."""
+    return np.asarray([[float(u in e) for u in range(n)] for e in edges])
 
 
-def _configurations(rows: np.ndarray, p_edge: np.ndarray, start: np.ndarray):
-    """Yield (values, weights) over all 2^M configurations, the whole low
-    table with a few high-half entries at a time: values (B, d) are start
-    plus the rows of the present edges, weights (B,) their probabilities.
-    The values array is one buffer, overwritten by the next step."""
+def _halves(rows: np.ndarray, p_edge: np.ndarray, start: np.ndarray):
+    """The low half (the first ceil(M/2) edge variables) and the high half,
+    each as (basis, p): the half's start followed by its edges' rows, and
+    its edges' probabilities.  A configuration's value is start plus the
+    present edges' rows, the sum of its two halves' sum_a z_a basis_a.
+
+    The high half's expected value moves from its start to the low half's,
+    which leaves every total unchanged; when ``start`` cancels the expected
+    value, both halves are centred, so their features stay small.
+    """
     m_lo = (len(rows) + 1) // 2
-    lo, w_lo = _half_table(rows[:m_lo], p_edge[:m_lo], start)
-    hi, w_hi = _half_table(rows[m_lo:], p_edge[m_lo:], np.zeros_like(start))
-    step = max(_STEP_FLOATS // lo.size, 1)
-    buffer = np.empty((min(step, len(hi)), *lo.shape))
-    for j in range(0, len(hi), step):
-        part = hi[j : j + step, None, :]
-        values = np.add(lo, part, out=buffer[: len(part)])
-        yield values.reshape(-1, lo.shape[1]), (w_hi[j : j + step, None] * w_lo).ravel()
+    shift = np.tensordot(p_edge[m_lo:], rows[m_lo:], axes=1)
+    return [
+        (np.concatenate(([start + shift], rows[:m_lo])), p_edge[:m_lo]),
+        (np.concatenate(([-shift], rows[m_lo:])), p_edge[m_lo:]),
+    ]
+
+
+def _half_sums(halves, features, row_floats: int):
+    """For each half (basis, p) and each feature block F of
+    ``features(z, basis, other_basis, low)``: the probability-weighted sums
+    of F and of F^T F over the half's 2^m configurations, as (mean, gram).
+    A tile's z (B, m + 1) holds B configurations' coordinates in the half's
+    basis: z_0 = 1 and z_l whether edge l is present.  A tile has about
+    _TILE_FLOATS / ``row_floats`` configurations."""
+    tile = max(1, _TILE_FLOATS // row_floats)
+    sums = []
+    for side, (basis, p) in enumerate(halves):
+        acc = None
+        for j in range(0, 2 ** len(p), tile):
+            bits = (np.arange(j, min(j + tile, 2 ** len(p)))[:, None] >> np.arange(len(p))) & 1
+            w = np.prod(np.where(bits, p, 1.0 - p), axis=1)
+            z = np.hstack((np.ones((len(w), 1)), bits))
+            blocks = features(z, basis, halves[1 - side][0], side == 0)
+            part = [(w @ F, (w[:, None] * F).T @ F) for F in blocks]
+            if acc is None:
+                acc = part
+            else:
+                for (mean, gram), (d_mean, d_gram) in zip(acc, part):
+                    mean += d_mean
+                    gram += d_gram
+        sums.append(acc)
+    return sums
+
+
+def _frobenius(A: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """<A_b, basis_c> for a stack A (..., n, n): shape (..., len(basis))."""
+    return np.tensordot(A, basis, axes=([-2, -1], [1, 2]))
+
+
+def _trace_features(z: np.ndarray, own: np.ndarray, other: np.ndarray, low: bool, max_k: int):
+    """Feature blocks F_k, k = 1..max_k, of a tile of one half's
+    configurations with coordinates z in the half's basis ``own``
+    (``other`` is the other half's basis), such that tr (X + Y)^k =
+    F_k(low=True) . F_k(low=False) for a low-half X = sum_a x_a V_a and a
+    high-half Y = sum_c y_c W_c, all symmetric:
+
+        tr (X+Y)^k = tr X^k + tr Y^k + k <X^(k-1), Y> + k <X, Y^(k-1)> [k >= 3]
+                     + 4 tr(X^2 Y^2) + 2 tr(XYXY) [k = 4]
+
+    (at k = 2 the words XY and YX make the single term 2 <X, Y>).  A mixed
+    term pairs one side's coordinates with the other side's power against
+    that basis, <X^(k-1), Y> = sum_c y_c <X^(k-1), W_c>; the last two pair
+    the high products y_c y_d, c <= d, with 4 tr(X^2 W_c W_d) +
+    2 tr(X W_c X W_d), doubled for c < d.  So the feature count depends on
+    the halves' sizes, not on n.  The coefficients sit on the low side.
+    """
+    X = np.tensordot(z, own, axes=1)
+    powers = [X]  # X, ..., X^(max_k - 1)
+    for _ in range(max_k - 2):
+        powers.append(powers[-1] @ X)
+    against = [_frobenius(P, other) for P in powers]
+    if max_k == 4:
+        c, d = np.triu_indices(len(other if low else own))
+        if low:
+            walks = 4 * _frobenius(powers[1], other[c] @ other[d])
+            walks += 2 * _frobenius((X[:, None] @ other) @ X[:, None], other)[:, c, d]
+            quartic = walks * np.where(c == d, 1.0, 2.0)
+        else:
+            quartic = z[:, c] * z[:, d]
+    one = np.ones((len(z), 1))
+    blocks = []
+    for k in range(1, max_k + 1):
+        if k == 1:
+            trace = np.einsum("bii->b", X)
+        else:  # tr X^k = <X^floor(k/2), X^ceil(k/2)>
+            trace = np.einsum("bij,bij->b", powers[k // 2 - 1], powers[(k + 1) // 2 - 1])
+        terms = [trace[:, None], one] if low else [one, trace[:, None]]
+        if k >= 2:
+            terms.append(k * against[k - 2] if low else z)
+        if k >= 3:
+            terms.append(k * z if low else against[k - 2])
+        if k == 4:
+            terms.append(quartic)
+        blocks.append(np.hstack(terms))
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -101,12 +181,15 @@ class ExactMoments:
 
 def exact_eesd_moments(params: ModelParams, max_k: int) -> ExactMoments:
     """Exact moments m_1, ..., m_max_k of the expected ESD of the centered,
-    scaled matrix, and the second moments of the traces they average, by
-    one full configuration enumeration.
+    scaled matrix, and the second moments of the traces they average, over
+    all 2^M edge configurations.
 
-    m_k = E[(1/n) trace(H^k)].  Needs M <= 20 and max_k <= 8.  H is
-    symmetric, so trace(H^k) = <H^a, H^(k-a)> (Frobenius) with a = floor(k/2):
-    up to k = 4 only H^2 is multiplied out.
+    m_k = E[(1/n) trace(H^k)].  Needs M <= 20 and max_k <= 4.  H = X + Y,
+    the low half's partial matrix with the centering term plus the high
+    half's, and tr H^k is a bilinear form of per-half features: each half's
+    own traces, its powers against the other half's basis, its coordinates,
+    and at k = 4 its coordinate products or the closed 4-walks through the
+    other half's basis pairs (see ``_trace_features``).
     """
     if not isinstance(max_k, int) or not 1 <= max_k <= _MAX_MOMENT:
         raise ValueError(f"max_k must be an integer in 1..{_MAX_MOMENT}, got {max_k!r}")
@@ -115,36 +198,23 @@ def exact_eesd_moments(params: ModelParams, max_k: int) -> ExactMoments:
     stats = derive_stats(params)
     scale = math.sqrt(n * stats.sigma_sq)
 
-    rows, p_edge = [], []
-    for r, p in params.classes:
-        for combo in itertools.combinations(range(n), r):
-            row = np.zeros((n, n))
-            for u, v in itertools.combinations(combo, 2):
-                row[u, v] = row[v, u] = 1.0 / scale
-            rows.append(row.ravel())
-            p_edge.append(p)
-    centre = -stats.mu / scale * (np.ones((n, n)) - np.eye(n))
+    edges = [(e, p) for r, p in params.classes for e in itertools.combinations(range(n), r)]
+    member = _members([e for e, _ in edges], n)
+    off_diagonal = np.ones((n, n)) - np.eye(n)
+    rows = member[:, :, None] * member[:, None, :] * off_diagonal / scale
+    halves = _halves(rows, np.asarray([p for _, p in edges]), -stats.mu / scale * off_diagonal)
 
-    acc = np.zeros(max_k)
-    acc_sq = np.zeros(max_k)
-    buffers = None  # H^2 .. H^ceil(max_k/2) of a step, reused like its values
-    for values, weights in _configurations(np.asarray(rows), np.asarray(p_edge), centre.ravel()):
-        H = values.reshape(-1, n, n)
-        if buffers is None:
-            buffers = [np.empty_like(H) for _ in range((max_k - 1) // 2)]
-        powers = [H]
-        for buffer in buffers:
-            powers.append(np.matmul(powers[-1], H, out=buffer[: len(H)]))
-        flat = [P.reshape(len(H), -1) for P in powers]
-        t = np.empty((max_k, len(H)))
-        t[0] = np.einsum("bii->b", H)
-        for k in range(2, max_k + 1):
-            t[k - 1] = np.einsum("bi,bi->b", flat[k // 2 - 1], flat[(k + 1) // 2 - 1])
-        acc += t @ weights
-        acc_sq += (t * t) @ weights
+    lo, hi = _half_sums(
+        halves,
+        functools.partial(_trace_features, max_k=max_k),
+        # the low side's (B, basis size, n, n) products are a tile's largest
+        len(halves[0][0]) * n * n,
+    )
     return ExactMoments(
-        moments=tuple(float(x) / n for x in acc),
-        second_moments=tuple(float(x) / n**2 for x in acc_sq),
+        moments=tuple(float(m_lo @ m_hi) / n for (m_lo, _), (m_hi, _) in zip(lo, hi)),
+        second_moments=tuple(
+            float(np.vdot(g_lo, g_hi)) / n**2 for (_, g_lo), (_, g_hi) in zip(lo, hi)
+        ),
     )
 
 
@@ -160,16 +230,14 @@ class ExactCovariances:
 def _class_covariances(n: int, r: int, p: float) -> tuple[float, float]:
     edges = list(itertools.combinations(range(n), r))
     _check_edge_variables(len(edges), f"size-{r} ")
-    # per edge, whether it holds vertex pairs (0,1), (0,2) and (2,3)
-    rows = np.asarray(
-        [[float(u in e and v in e) for u, v in ((0, 1), (0, 2), (2, 3))] for e in edges]
-    )
-    e = np.zeros(5)
-    for values, weights in _configurations(rows, np.full(len(edges), p), np.zeros(3)):
-        a12, a13, a34 = values.T
-        e += np.stack((a12, a13, a34, a12 * a13, a12 * a34)) @ weights
-    e12, e13, e34, e12_13, e12_34 = e
-    return float(e12_13 - e12 * e13), float(e12_34 - e12 * e34)
+    # entries A_12, A_13 and A_34: vertex pairs (0,1), (0,2) and (2,3)
+    member = _members(edges, n)
+    rows = member[:, [0, 0, 2]] * member[:, [1, 2, 3]]
+    halves = _halves(rows, np.full(len(edges), p), np.zeros(3))
+    sums = _half_sums(halves, lambda z, basis, other, low: [z @ basis], 3)
+    # the halves are independent, so their covariances add
+    cov = sum(gram - np.outer(mean, mean) for ((mean, gram),) in sums)
+    return float(cov[0, 1]), float(cov[0, 2])
 
 
 def exact_covariances(params: ModelParams) -> ExactCovariances:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,13 +104,15 @@ def _loop_moments(params, max_k):
         (4, [4], [0.5]),  # M = 1: the high half is empty
         (5, [4], [0.3]),  # odd M = 5
         (4, [2, 3], [1.0, 0.5]),  # zero-weight configurations in the tables
+        (5, [2, 4], [0.3, 0.8]),  # M = 15: both classes span the halves
+        (9, [8, 9], [0.4, 0.7]),  # n = 9, past the covariance oracle's range
     ],
 )
 def test_high_moments_match_loop(n, r, p):
-    # k = 5..8 take the power loop past H^2; compare all eight with a loop
+    # every trace up to the cap, m_k and E[t_k^2], against a loop
     params = ModelParams.of(n, r, p)
-    mean, square = _loop_moments(params, 8)
-    got = exact_eesd_moments(params, max_k=8)
+    mean, square = _loop_moments(params, 4)
+    got = exact_eesd_moments(params, max_k=4)
     assert got.moments == pytest.approx(mean, rel=1e-12, abs=1e-12)
     assert got.second_moments == pytest.approx(square, rel=1e-12, abs=1e-12)
 
@@ -118,7 +121,19 @@ def test_moments_refuse_large():
     with pytest.raises(ValueError):
         exact_eesd_moments(ModelParams.of(10, [3], [0.5]), max_k=2)
     with pytest.raises(ValueError):
-        exact_eesd_moments(ModelParams.of(3, [2], [0.5]), max_k=9)
+        exact_eesd_moments(ModelParams.of(3, [2], [0.5]), max_k=5)
+
+
+def test_moments_memory_bounded():
+    # the halves are read in tiles: the largest verify model stays small
+    params = ModelParams.of(5, [2, 3], [0.5, 0.5])
+    tracemalloc.start()
+    try:
+        exact_eesd_moments(params, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
 
 
 def test_covariances_catalog():
