@@ -1,6 +1,7 @@
 """Closed-form statistics for a two-class model, no sampling involved."""
 
 from hyperspectra import (
+    REGIME_DELTA,
     ModelParams,
     classify_regime_k2,
     covariance_profile,
@@ -25,7 +26,9 @@ print("predicted s^2          :", predicted_variance(params))
 profile = covariance_profile(params)
 print("gamma_n, rho_n, theta^2:", profile.gamma_n, profile.rho_n, profile.theta_sq)
 
-# which size class carries the variance, at tolerance 0.01
+# which size class carries the variance, at tolerance REGIME_DELTA
+print("regime tolerance delta :", REGIME_DELTA)
 for p2 in (1e-5, 1e-3, 0.5):
-    res = classify_regime_k2(ModelParams.of(500, [3, 4], [0.5, p2]), delta=0.01)
-    print(f"p2 = {p2:g}: regime = {res.regime.value}, weights = {res.w_fin}")
+    model = ModelParams.of(500, [3, 4], [0.5, p2])
+    regime = classify_regime_k2(model)
+    print(f"p2 = {p2:g}: regime = {regime.value}, weights = {derive_stats(model).w_fin}")

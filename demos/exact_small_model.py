@@ -15,7 +15,7 @@ from hyperspectra import (
 # 6 pairs + 4 triples at p = 1/2: 2^10 equally likely hypergraphs
 params = ModelParams.of(4, [2, 3], [0.5, 0.5])
 
-exact = exact_eesd_moments(params, max_k=4)
+exact = exact_eesd_moments(params)
 print("exact m1..m4:", exact.moments)
 print("m2 identity (n-1)/n:", (params.n - 1) / params.n)
 

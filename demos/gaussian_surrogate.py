@@ -17,7 +17,6 @@ from hyperspectra import (
     log_expected_edges,
     predicted_variance,
     sample_surrogate,
-    surrogate_coefficients,
 )
 
 params = ModelParams.of(2000, [600], [0.3])
@@ -31,9 +30,8 @@ print("theta_sq :", profile.theta_sq)
 s2 = predicted_variance(params)
 print("s2_pred  :", s2)
 
-coeffs = surrogate_coefficients(profile)
 eigs = np.concatenate(
-    [eigenvalues(sample_surrogate(params.n, coeffs, seed)) for seed in range(3)]
+    [eigenvalues(sample_surrogate(params.n, profile, seed)) for seed in range(3)]
 )
 ks = ks_distance(esd(eigs), SemicircleLaw(s2))
 print("KS to the s2_pred semicircle:", round(ks, 4))

@@ -35,7 +35,7 @@ from typing import Any
 import numpy as np
 
 from .errors import BudgetExceededError, DegenerateModelError
-from .gaussian import sample_surrogate, surrogate_coefficients
+from .gaussian import sample_surrogate
 from .hypergraph import (
     MAX_EDGES,
     adjacency,
@@ -56,6 +56,7 @@ from .spectral import (
     moment,
 )
 from .theory import (
+    REGIME_DELTA,
     ModelParams,
     chatterjee_bound,
     classify_regime_k2,
@@ -289,11 +290,10 @@ def run_analyze(cfg: dict) -> dict:
 
     regime = None
     if params.k == 2:
-        res = classify_regime_k2(params)
         regime = {
-            "label": res.regime.value,
-            "delta": res.delta,
-            "w_fin": list(res.w_fin),
+            "label": classify_regime_k2(params).value,
+            "delta": REGIME_DELTA,
+            "w_fin": list(stats.w_fin),
         }
 
     def tail_dict(tail) -> dict:
@@ -482,16 +482,14 @@ def run_montecarlo(cfg: dict, command: str = "montecarlo") -> dict:
                 "switched to the gaussian surrogate"
             )
 
-    coeffs = None
-    if engine == "gaussian-surrogate":
-        coeffs = surrogate_coefficients(covariance_profile(params))
+    profile = covariance_profile(params) if engine == "gaussian-surrogate" else None
 
     def one_trial(t: int) -> np.ndarray:
         ts = _trial_seed(seed, t)
         if engine == "bernoulli":
             (A,) = next(sample_adjacency_batches(params, ts, 1, max_edges))
             return eigenvalues(center_scale(A, params))
-        return eigenvalues(sample_surrogate(params.n, coeffs, ts))
+        return eigenvalues(sample_surrogate(params.n, profile, ts))
 
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
@@ -590,7 +588,7 @@ def run_verify(cfg: dict) -> dict:
     check_oracle_domain(params)
     batches = sample_adjacency_batches(params, seed, trials, max_edges)
 
-    exact = exact_eesd_moments(params, max_k=4)
+    exact = exact_eesd_moments(params)
     check("oracle_m1_zero", exact.moments[0], 0.0, 1e-12)
     check("oracle_m2_identity", exact.moments[1], (n - 1) / n, 1e-12)
 

@@ -106,6 +106,8 @@ _RANK_LIMIT = 2**62
 _INT64_MAX = 2**63 - 1
 # gap draws per chunk of the rank walk; bounds the walk's scratch memory
 _MAX_CHUNK = 2**20
+# unranking-table cells that any single draw may use (see _draw_classes)
+_TABLE_CELLS = 2**20
 
 
 def _binomial_table(n: int, r: int) -> np.ndarray:
@@ -211,6 +213,11 @@ def _draw_classes(
     ``trials`` independent draws of the class: rank rho belongs to trial
     rho // C(n, r) and is the subset of colex rank rho % C(n, r).  Rows come
     out grouped by trial, each group in ascending rank order.
+
+    A single draw (trials = 1) with p < 1 merges Poisson subsets instead
+    when C(n, r) reaches 2^62, or when the walk's (r + 1) x n unranking
+    table would exceed both _TABLE_CELLS and the draw's expected
+    r * C(n, r) * p vertex ids: the table then never outgrows the draw.
     """
     n = params.n
     if n > 2**31:
@@ -220,7 +227,9 @@ def _draw_classes(
         trial = np.empty(0, dtype=np.int64)
         if p == 0.0:
             edges = np.empty((0, r), dtype=np.int32)
-        elif trials * (pop := math.comb(n, r)) < _RANK_LIMIT:
+        elif trials * (pop := math.comb(n, r)) < _RANK_LIMIT and (
+            trials > 1 or p == 1.0 or (r + 1) * n <= max(_TABLE_CELLS, pop * p * r)
+        ):
             ranks = _bernoulli_ranks(rng, trials * pop, p)
             if trials > 1:
                 trial, ranks = np.divmod(ranks, pop)
@@ -505,6 +514,8 @@ def read_hypergraph_text(path) -> Hypergraph:
         return chunk
 
     n, k = (int(v) for v in take(2, "header 'n k'"))
+    if k < 0:
+        raise ValueError(f"negative class count {k}")
     classes = []
     for i in range(k):
         r, m = (int(v) for v in take(2, f"class {i} header 'r m'"))

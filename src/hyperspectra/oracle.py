@@ -18,7 +18,6 @@ array, so the working set is one tile's arrays and the Gram matrices.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,9 +35,6 @@ __all__ = [
 ]
 
 _MAX_EDGE_VARIABLES = 20
-# tr H^k for k >= 5 has words with three factors from one half, whose
-# bilinear form needs features cubic in the other half's coordinates
-_MAX_MOMENT = 4
 _TILE_FLOATS = 2**15
 
 
@@ -117,8 +113,8 @@ def _frobenius(A: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.tensordot(A, basis, axes=([-2, -1], [1, 2]))
 
 
-def _trace_features(z: np.ndarray, own: np.ndarray, other: np.ndarray, low: bool, max_k: int):
-    """Feature blocks F_k, k = 1..max_k, of a tile of one half's
+def _trace_features(z: np.ndarray, own: np.ndarray, other: np.ndarray, low: bool):
+    """Feature blocks F_k, k = 1..4, of a tile of one half's
     configurations with coordinates z in the half's basis ``own``
     (``other`` is the other half's basis), such that tr (X + Y)^k =
     F_k(low=True) . F_k(low=False) for a low-half X = sum_a x_a V_a and a
@@ -133,23 +129,25 @@ def _trace_features(z: np.ndarray, own: np.ndarray, other: np.ndarray, low: bool
     the high products y_c y_d, c <= d, with 4 tr(X^2 W_c W_d) +
     2 tr(X W_c X W_d), doubled for c < d.  So the feature count depends on
     the halves' sizes, not on n.  The coefficients sit on the low side.
+
+    k stops at 4: tr H^k for k >= 5 has words with three factors from one
+    half, whose bilinear form needs features cubic in the other half's
+    coordinates.
     """
     X = np.tensordot(z, own, axes=1)
-    powers = [X]  # X, ..., X^(max_k - 1)
-    for _ in range(max_k - 2):
-        powers.append(powers[-1] @ X)
+    X2 = X @ X
+    powers = [X, X2, X2 @ X]
     against = [_frobenius(P, other) for P in powers]
-    if max_k == 4:
-        c, d = np.triu_indices(len(other if low else own))
-        if low:
-            walks = 4 * _frobenius(powers[1], other[c] @ other[d])
-            walks += 2 * _frobenius((X[:, None] @ other) @ X[:, None], other)[:, c, d]
-            quartic = walks * np.where(c == d, 1.0, 2.0)
-        else:
-            quartic = z[:, c] * z[:, d]
+    c, d = np.triu_indices(len(other if low else own))
+    if low:
+        walks = 4 * _frobenius(X2, other[c] @ other[d])
+        walks += 2 * _frobenius((X[:, None] @ other) @ X[:, None], other)[:, c, d]
+        quartic = walks * np.where(c == d, 1.0, 2.0)
+    else:
+        quartic = z[:, c] * z[:, d]
     one = np.ones((len(z), 1))
     blocks = []
-    for k in range(1, max_k + 1):
+    for k in range(1, 5):
         if k == 1:
             trace = np.einsum("bii->b", X)
         else:  # tr X^k = <X^floor(k/2), X^ceil(k/2)>
@@ -167,7 +165,7 @@ def _trace_features(z: np.ndarray, own: np.ndarray, other: np.ndarray, low: bool
 
 @dataclass(frozen=True)
 class ExactMoments:
-    """Exact moments of the per-draw traces t_k = (1/n) trace(H^k), k = 1..K:
+    """Exact moments of the per-draw traces t_k = (1/n) trace(H^k), k = 1..4:
     ``moments[k - 1]`` = E[t_k], the EESD moment m_k, and
     ``second_moments[k - 1]`` = E[t_k^2]."""
 
@@ -179,20 +177,18 @@ class ExactMoments:
         return max(self.second_moments[k - 1] - self.moments[k - 1] ** 2, 0.0)
 
 
-def exact_eesd_moments(params: ModelParams, max_k: int) -> ExactMoments:
-    """Exact moments m_1, ..., m_max_k of the expected ESD of the centered,
+def exact_eesd_moments(params: ModelParams) -> ExactMoments:
+    """Exact moments m_1, ..., m_4 of the expected ESD of the centered,
     scaled matrix, and the second moments of the traces they average, over
     all 2^M edge configurations.
 
-    m_k = E[(1/n) trace(H^k)].  Needs M <= 20 and max_k <= 4.  H = X + Y,
+    m_k = E[(1/n) trace(H^k)].  Needs M <= 20.  H = X + Y,
     the low half's partial matrix with the centering term plus the high
     half's, and tr H^k is a bilinear form of per-half features: each half's
     own traces, its powers against the other half's basis, its coordinates,
     and at k = 4 its coordinate products or the closed 4-walks through the
     other half's basis pairs (see ``_trace_features``).
     """
-    if not isinstance(max_k, int) or not 1 <= max_k <= _MAX_MOMENT:
-        raise ValueError(f"max_k must be an integer in 1..{_MAX_MOMENT}, got {max_k!r}")
     n = params.n
     _check_edge_variables(sum(math.comb(n, r) for r in params.r))
     stats = derive_stats(params)
@@ -206,7 +202,7 @@ def exact_eesd_moments(params: ModelParams, max_k: int) -> ExactMoments:
 
     lo, hi = _half_sums(
         halves,
-        functools.partial(_trace_features, max_k=max_k),
+        _trace_features,
         # the low side's (B, basis size, n, n) products are a tile's largest
         len(halves[0][0]) * n * n,
     )

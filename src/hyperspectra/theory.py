@@ -41,7 +41,7 @@ __all__ = [
     "PasturTail",
     "ChatterjeeBound",
     "Regime",
-    "RegimeResult",
+    "REGIME_DELTA",
     "log_binomial",
     "derive_stats",
     "log_expected_edges",
@@ -323,8 +323,8 @@ def covariance_profile(params: ModelParams) -> CovarianceProfile:
     stats = derive_stats(params)
     log_gamma_num = _logsumexp(_log_class_terms(params, 3, stats.sigma_i_sq))
     log_rho_num = _logsumexp(_log_class_terms(params, 4, stats.sigma_i_sq))
-    gamma_n = _exp(log_gamma_num - stats.log_sigma_sq) if log_gamma_num != _NEG_INF else 0.0
-    rho_n = _exp(log_rho_num - stats.log_sigma_sq) if log_rho_num != _NEG_INF else 0.0
+    gamma_n = _exp(log_gamma_num - stats.log_sigma_sq)
+    rho_n = _exp(log_rho_num - stats.log_sigma_sq)
     theta_sq = 1.0 - 2.0 * gamma_n + rho_n
     return CovarianceProfile(rho_n=rho_n, gamma_n=gamma_n, theta_sq=theta_sq)
 
@@ -372,32 +372,24 @@ class Regime(enum.Enum):
     R2_DOMINANT = "r2-dominant"
 
 
-@dataclass(frozen=True)
-class RegimeResult:
-    regime: Regime
-    delta: float
-    w_fin: tuple[float, ...]
+# a class whose weight w_i is below this counts as negligible
+REGIME_DELTA = 0.01
 
 
-def classify_regime_k2(params: ModelParams, delta: float = 0.01) -> RegimeResult:
+def classify_regime_k2(params: ModelParams) -> Regime:
     """Which of two size classes carries the entry variance at this n.
 
-    w_1 > 1 - delta: class 1 dominant; w_1 < delta: class 2 dominant;
-    otherwise balanced.  Only defined for exactly two classes.
+    w_1 > 1 - REGIME_DELTA: class 1 dominant; w_1 < REGIME_DELTA: class 2
+    dominant; otherwise balanced.  Only defined for exactly two classes.
     """
     if params.k != 2:
         raise ValueError(f"regime classification needs exactly 2 classes, got {params.k}")
-    if not 0.0 < delta < 0.5:
-        raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
-    stats = derive_stats(params)
-    w1 = stats.w_fin[0]
-    if w1 > 1.0 - delta:
-        regime = Regime.R1_DOMINANT
-    elif w1 < delta:
-        regime = Regime.R2_DOMINANT
-    else:
-        regime = Regime.BALANCED
-    return RegimeResult(regime=regime, delta=delta, w_fin=stats.w_fin)
+    w1 = derive_stats(params).w_fin[0]
+    if w1 > 1.0 - REGIME_DELTA:
+        return Regime.R1_DOMINANT
+    if w1 < REGIME_DELTA:
+        return Regime.R2_DOMINANT
+    return Regime.BALANCED
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +470,6 @@ class PasturTail:
     asymptotic, so this is a finite-n diagnostic, never a verdict.
     """
 
-    eps: float
     threshold: float
     log_per_class: tuple[float, ...]
     log_total: float
@@ -504,7 +495,6 @@ def _pastur_tail(params: ModelParams, eps: float, per_edge) -> PasturTail:
         - 4.0 * math.log(params.r_max)
     )
     return PasturTail(
-        eps=eps,
         threshold=threshold,
         log_per_class=log_per_class,
         log_total=log_total,
@@ -550,9 +540,6 @@ class ChatterjeeBound:
     trunc3_sum the truncated third absolute moments at or below eps K_n.
     """
 
-    z: complex
-    eps: float
-    threshold: float
     lambda2_bound: float
     lambda3_bound: float
     tail_sum_bernoulli: float
@@ -614,9 +601,6 @@ def chatterjee_bound(params: ModelParams, z: complex, eps: float) -> ChatterjeeB
     else:
         total = _exp(log_total)
     return ChatterjeeBound(
-        z=z,
-        eps=eps,
-        threshold=threshold,
         lambda2_bound=lambda2,
         lambda3_bound=lambda3,
         tail_sum_bernoulli=tail_b,

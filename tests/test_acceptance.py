@@ -29,7 +29,6 @@ from hyperspectra import (
     moment,
     sample_hypergraph,
     sample_surrogate,
-    surrogate_coefficients,
 )
 from hyperspectra.cli import dumps, resolve_config, run_montecarlo, run_verify
 
@@ -93,9 +92,8 @@ def test_acceptance_03_fixed_size_mixture():
 def test_acceptance_04_linear_size_surrogate():
     params = ModelParams.of(2000, [600], [0.3])
     profile = covariance_profile(params)
-    coeffs = surrogate_coefficients(profile)
     eigs = np.concatenate(
-        [eigenvalues(sample_surrogate(params.n, coeffs, 400 + t)) for t in range(5)]
+        [eigenvalues(sample_surrogate(params.n, profile, 400 + t)) for t in range(5)]
     )
     s2 = (1.0 - 598.0 / 1998.0) ** 2
     ks = ks_distance(esd(eigs), SemicircleLaw(s2))
@@ -113,12 +111,11 @@ def test_acceptance_05_surrogate_covariance_fidelity():
     n, seeds = 200, 2000
     params = ModelParams.of(n, [5], [0.3])
     profile = covariance_profile(params)
-    coeffs = surrogate_coefficients(profile)
     h12 = np.empty(seeds)
     h13 = np.empty(seeds)
     h34 = np.empty(seeds)
     for s in range(seeds):
-        H = sample_surrogate(n, coeffs, 500 + s)
+        H = sample_surrogate(n, profile, 500 + s)
         h12[s], h13[s], h34[s] = H[0, 1], H[0, 2], H[2, 3]
 
     def cov_check(x, y, target):
@@ -141,7 +138,7 @@ def test_acceptance_05_surrogate_covariance_fidelity():
 def test_acceptance_06_oracle_equivalence():
     t0 = time.perf_counter()
     params = ModelParams.of(4, [2, 3], [0.5, 0.5])
-    moments = exact_eesd_moments(params, max_k=4).moments
+    moments = exact_eesd_moments(params).moments
     m2_exact_ok = abs(moments[1] - 0.75) <= 1e-12
 
     covs = exact_covariances(params)
@@ -187,8 +184,7 @@ def test_acceptance_07_single_class_identities():
 def test_acceptance_08_regime_table():
     labels = []
     for p2 in (1e-5, 1e-3, 0.5):
-        res = classify_regime_k2(ModelParams.of(500, [3, 4], [0.5, p2]), delta=0.01)
-        labels.append(res.regime.value)
+        labels.append(classify_regime_k2(ModelParams.of(500, [3, 4], [0.5, p2])).value)
     ok = labels == ["r1-dominant", "balanced", "r2-dominant"]
     _verdict(8, ok, f"labels = {labels}")
 

@@ -18,10 +18,10 @@ from hyperspectra import (
 
 def test_moments_second_moment_identity():
     # m2 = (n-1)/n for any centered, scaled model
-    m = exact_eesd_moments(ModelParams.of(3, [2], [0.5]), max_k=2)
+    m = exact_eesd_moments(ModelParams.of(3, [2], [0.5]))
     assert m.moments[1] == pytest.approx(2.0 / 3.0, abs=1e-13)
 
-    m = exact_eesd_moments(ModelParams.of(4, [2, 3], [0.5, 0.5]), max_k=2)
+    m = exact_eesd_moments(ModelParams.of(4, [2, 3], [0.5, 0.5]))
     assert m.moments[1] == pytest.approx(3.0 / 4.0, abs=1e-13)
 
 
@@ -31,7 +31,7 @@ def test_moments_first_vanishes():
         ModelParams.of(4, [3], [0.125]),
         ModelParams.of(4, [2, 3], [0.75, 0.5]),
     ):
-        m = exact_eesd_moments(params, max_k=1)
+        m = exact_eesd_moments(params)
         assert m.moments[0] == pytest.approx(0.0, abs=1e-13)
 
 
@@ -43,7 +43,7 @@ def test_moments_identity_randomized_tiny():
         p = float(rng.choice([0.25, 0.5, 0.75]))
         if math.comb(n, r) > 20:
             continue
-        m = exact_eesd_moments(ModelParams.of(n, [r], [p]), max_k=2)
+        m = exact_eesd_moments(ModelParams.of(n, [r], [p]))
         assert m.moments[1] == pytest.approx((n - 1) / n, abs=1e-12)
 
 
@@ -68,7 +68,7 @@ def test_trace_second_moments_match_loop():
         t = np.array([np.trace(np.linalg.matrix_power(H, k)) / n for k in range(1, 5)])
         mean += prob * t
         square += prob * t * t
-    got = exact_eesd_moments(params, max_k=4)
+    got = exact_eesd_moments(params)
     assert got.moments == pytest.approx(mean, abs=1e-12)
     assert got.second_moments == pytest.approx(square, abs=1e-12)
     for k in range(1, 5):
@@ -112,16 +112,14 @@ def test_high_moments_match_loop(n, r, p):
     # every trace up to the cap, m_k and E[t_k^2], against a loop
     params = ModelParams.of(n, r, p)
     mean, square = _loop_moments(params, 4)
-    got = exact_eesd_moments(params, max_k=4)
+    got = exact_eesd_moments(params)
     assert got.moments == pytest.approx(mean, rel=1e-12, abs=1e-12)
     assert got.second_moments == pytest.approx(square, rel=1e-12, abs=1e-12)
 
 
 def test_moments_refuse_large():
     with pytest.raises(ValueError):
-        exact_eesd_moments(ModelParams.of(10, [3], [0.5]), max_k=2)
-    with pytest.raises(ValueError):
-        exact_eesd_moments(ModelParams.of(3, [2], [0.5]), max_k=5)
+        exact_eesd_moments(ModelParams.of(10, [3], [0.5]))
 
 
 def test_moments_memory_bounded():
@@ -129,7 +127,7 @@ def test_moments_memory_bounded():
     params = ModelParams.of(5, [2, 3], [0.5, 0.5])
     tracemalloc.start()
     try:
-        exact_eesd_moments(params, 4)
+        exact_eesd_moments(params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -25,7 +25,6 @@ from hyperspectra import (
     moment,
     sample_hypergraph,
     sample_surrogate,
-    surrogate_coefficients,
 )
 from hyperspectra import CovarianceProfile
 
@@ -99,8 +98,8 @@ def test_esd_catalog():
 
 
 def test_esd_symmetric_sample_median():
-    c = surrogate_coefficients(CovarianceProfile(rho_n=0.0, gamma_n=0.0, theta_sq=1.0))
-    m = esd(eigenvalues(sample_surrogate(2000, c, seed=4)))
+    goe = CovarianceProfile(rho_n=0.0, gamma_n=0.0, theta_sq=1.0)
+    m = esd(eigenvalues(sample_surrogate(2000, goe, seed=4)))
     assert 0.45 <= m.cdf(0.0) <= 0.55
 
 

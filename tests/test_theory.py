@@ -325,23 +325,22 @@ def test_model_params_rejects_untyped_classes():
 
 def test_classify_regime_thresholds():
     # p2 tiny -> B2 negligible -> w1 ~ 1; p2 large -> w1 ~ 0; middle balanced
-    r1_dom = classify_regime_k2(ModelParams.of(500, [3, 4], [0.5, 1e-5]))
-    assert r1_dom.regime is Regime.R1_DOMINANT
-    assert r1_dom.w_fin[0] > 0.99
+    r1_dom = ModelParams.of(500, [3, 4], [0.5, 1e-5])
+    assert classify_regime_k2(r1_dom) is Regime.R1_DOMINANT
+    assert derive_stats(r1_dom).w_fin[0] > 0.99
 
-    balanced = classify_regime_k2(ModelParams.of(500, [3, 4], [0.5, 1e-3]))
-    assert balanced.regime is Regime.BALANCED
+    balanced = ModelParams.of(500, [3, 4], [0.5, 1e-3])
+    assert classify_regime_k2(balanced) is Regime.BALANCED
 
-    r2_dom = classify_regime_k2(ModelParams.of(500, [3, 4], [0.5, 0.5]))
-    assert r2_dom.regime is Regime.R2_DOMINANT
-    assert r2_dom.w_fin[0] < 0.01
+    r2_dom = ModelParams.of(500, [3, 4], [0.5, 0.5])
+    assert classify_regime_k2(r2_dom) is Regime.R2_DOMINANT
+    assert derive_stats(r2_dom).w_fin[0] < 0.01
 
 
 def test_classify_regime_homogeneous_large_sizes():
     # equal p: the larger class size dominates the variance for r <= n/2
     for p in (0.05, 0.3, 0.49):
-        res = classify_regime_k2(ModelParams.of(200, [60, 100], [p, p]))
-        assert res.regime is Regime.R2_DOMINANT
+        assert classify_regime_k2(ModelParams.of(200, [60, 100], [p, p])) is Regime.R2_DOMINANT
 
 
 def test_classify_regime_arity():
@@ -532,15 +531,11 @@ def test_chatterjee_domain():
         (lambda: limit_variance([1.0], [0.0, 0.0]), "got 1 weights but 2 size fractions"),
         (lambda: limit_variance([], []), "need at least one class"),
         (lambda: limit_variance([1.5, -0.5], [0.0, 0.0]), "class 0: weight 1.5 outside [0, 1]"),
-        (
-            lambda: classify_regime_k2(ModelParams.of(10, [2, 3], [0.5, 0.5]), delta=0.6),
-            "delta must lie in (0, 0.5), got 0.6",
-        ),
         (lambda: pastur_lhs_bernoulli(ModelParams.of(50, [3], [0.2]), 0.0), "eps must be positive, got 0.0"),
     ],
     ids=[
         "decreasing-sizes", "p-above-1", "no-classes", "unequal-lists",
-        "limit-unequal-lists", "limit-empty", "limit-weight-above-1", "regime-delta", "pastur-eps",
+        "limit-unequal-lists", "limit-empty", "limit-weight-above-1", "pastur-eps",
     ],
 )
 def test_theory_refusals(call, message):
