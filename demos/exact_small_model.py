@@ -9,7 +9,7 @@ from hyperspectra import (
     derive_stats,
     exact_covariances,
     exact_eesd_moments,
-    sample_adjacency_batches,
+    sample_adjacency_stack,
 )
 
 # 6 pairs + 4 triples at p = 1/2: 2^10 equally likely hypergraphs
@@ -28,14 +28,12 @@ print("exact disjoint-pair covariance  :", covs.disjoint)
 print("closed form rho_n * sigma^2     :", profile.rho_n * stats.sigma_sq)
 
 # Monte Carlo agrees: trace identities need no eigendecomposition, and the
-# trials come as (t, n, n) stacks of pair-count matrices
+# trials come as one (t, n, n) stack of pair-count matrices
 trials = 20_000
-m2s, m4s = [], []
-for A in sample_adjacency_batches(params, seed=0, trials=trials):
-    H = center_scale(A, params)
-    H2 = H @ H
-    m2s.append(np.einsum("tii->t", H2) / params.n)
-    m4s.append(np.einsum("tij,tij->t", H2, H2) / params.n)
-for k, values in ((2, np.concatenate(m2s)), (4, np.concatenate(m4s))):
+H = center_scale(sample_adjacency_stack(params, seed=0, trials=trials), params)
+H2 = H @ H
+m2s = np.einsum("tii->t", H2) / params.n
+m4s = np.einsum("tij,tij->t", H2, H2) / params.n
+for k, values in ((2, m2s), (4, m4s)):
     se = (exact.variance(k) / trials) ** 0.5
     print(f"monte carlo m{k} = {values.mean():.5f} (exact {exact.moments[k - 1]:.5f}, se {se:.5f})")

@@ -31,7 +31,7 @@ s2 = predicted_variance(params)
 print("s2_pred  :", s2)
 
 eigs = np.concatenate(
-    [eigenvalues(sample_surrogate(params.n, profile, seed)) for seed in range(3)]
+    [eigenvalues(sample_surrogate(params.n, profile, seed)[0]) for seed in range(3)]
 )
 ks = ks_distance(esd(eigs), SemicircleLaw(s2))
 print("KS to the s2_pred semicircle:", round(ks, 4))

@@ -42,7 +42,7 @@ from .hypergraph import (
     center_scale,
     check_budget,
     read_hypergraph_text,
-    sample_adjacency_batches,
+    sample_adjacency_stack,
     sample_hypergraph,
     write_hypergraph_text,
 )
@@ -232,6 +232,9 @@ def _validate_config(cfg: dict) -> None:
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in z)
     ):
         raise ConfigError(f"z must be [re, im], got {z!r}")
+    # exact int/float comparison: refuses nan, inf and ints beyond float range
+    if not all(abs(v) <= sys.float_info.max for v in z):
+        raise ConfigError(f"z must be finite, got {z!r}")
     if not z[1] > 0:
         raise ConfigError(f"z must have positive imaginary part, got {z!r}")
     bv = cfg["budget"]["max_edges"]
@@ -258,12 +261,6 @@ def _params_from_config(cfg: dict) -> ModelParams:
     if cfg["n"] is None or cfg["r"] is None or cfg["p"] is None:
         raise ConfigError("model requires n, r and p (config file or flags)")
     return ModelParams.of(cfg["n"], cfg["r"], cfg["p"])
-
-
-def _trial_seed(master: int, trial: int) -> int:
-    """Splittable per-trial stream: independent of worker count and order."""
-    ss = np.random.SeedSequence(entropy=master, spawn_key=(trial,))
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def _params_dict(params: ModelParams) -> dict:
@@ -396,6 +393,40 @@ def run_spectrum(cfg: dict, hypergraph_path: str) -> tuple[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
+# the trial source of every experiment
+
+# float64 bytes of one batch's (t, n, n) stack
+_TRIAL_BATCH_BYTES = 2**18
+
+
+def _trial_seed(master: int, batch: int) -> int:
+    """Splittable per-batch stream: independent of worker count and order."""
+    ss = np.random.SeedSequence(entropy=master, spawn_key=(batch,))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def _trial_source(params: ModelParams, profile, seed: int, trials: int, max_edges: int):
+    """``trials`` centred, scaled trial matrices as (draw, batches):
+    ``draw(b)`` is batch b, a (t, n, n) stack drawn from
+    ``_trial_seed(seed, b)``, for each b in ``batches``.
+
+    A batch holds as many trials as fit ``_TRIAL_BATCH_BYTES``, at least
+    one, so batches depend on (n, trials) only.  With ``profile`` None the
+    model is sampled exactly, and each draw refuses over ``max_edges``;
+    otherwise the surrogate for ``profile`` is drawn.
+    """
+    size = max(_TRIAL_BATCH_BYTES // (8 * params.n**2), 1)
+
+    def draw(b: int) -> np.ndarray:
+        t, batch_seed = min(size, trials - b * size), _trial_seed(seed, b)
+        if profile is None:
+            return center_scale(sample_adjacency_stack(params, batch_seed, t, max_edges), params)
+        return sample_surrogate(params.n, profile, batch_seed, t)
+
+    return draw, range(-(-trials // size))
+
+
+# ---------------------------------------------------------------------------
 # monte carlo
 
 
@@ -483,19 +514,17 @@ def run_montecarlo(cfg: dict, command: str = "montecarlo") -> dict:
             )
 
     profile = covariance_profile(params) if engine == "gaussian-surrogate" else None
+    draw, batches = _trial_source(params, profile, seed, trials, max_edges)
 
-    def one_trial(t: int) -> np.ndarray:
-        ts = _trial_seed(seed, t)
-        if engine == "bernoulli":
-            (A,) = next(sample_adjacency_batches(params, ts, 1, max_edges))
-            return eigenvalues(center_scale(A, params))
-        return eigenvalues(sample_surrogate(params.n, profile, ts))
+    def batch_eigs(b: int) -> list[np.ndarray]:
+        return [eigenvalues(H) for H in draw(b)]
 
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            trial_eigs = list(pool.map(one_trial, range(trials)))
+            per_batch = list(pool.map(batch_eigs, batches))
     else:
-        trial_eigs = [one_trial(t) for t in range(trials)]
+        per_batch = [batch_eigs(b) for b in batches]
+    trial_eigs = [eigs for batch in per_batch for eigs in batch]
 
     pooled = esd(np.concatenate(trial_eigs))
     edges, masses = average_esd([esd(e) for e in trial_eigs], bins)
@@ -585,8 +614,10 @@ def run_verify(cfg: dict) -> dict:
         )
 
     # every refusal comes before the enumeration: oracle domain, then budget
+    # at the first draw
     check_oracle_domain(params)
-    batches = sample_adjacency_batches(params, seed, trials, max_edges)
+    draw, batches = _trial_source(params, None, seed, trials, max_edges)
+    m2s, m4s = map(np.concatenate, zip(*(_trace_moments(draw(b)) for b in batches)))
 
     exact = exact_eesd_moments(params)
     check("oracle_m1_zero", exact.moments[0], 0.0, 1e-12)
@@ -608,7 +639,6 @@ def run_verify(cfg: dict) -> dict:
         1e-12 * max(1.0, abs(disjoint_closed)),
     )
 
-    m2s, m4s = map(np.concatenate, zip(*(_trace_moments(center_scale(A, params)) for A in batches)))
     for name, k, sample_vals in (
         ("montecarlo_m2_vs_oracle", 2, m2s),
         ("montecarlo_m4_vs_oracle", 4, m4s),

@@ -27,15 +27,15 @@ __all__ = ["sample_surrogate"]
 _PROFILE_SLACK = 1e-12
 
 
-def sample_surrogate(n: int, profile: CovarianceProfile, seed: int) -> np.ndarray:
-    """One n x n surrogate matrix for ``profile``: symmetric, zero diagonal,
-    float64.
+def sample_surrogate(n: int, profile: CovarianceProfile, seed: int, trials: int = 1) -> np.ndarray:
+    """``trials`` independent n x n surrogate matrices for ``profile``, as a
+    (trials, n, n) float64 stack: each symmetric, zero diagonal.
 
     Raises ValueError unless 0 <= rho, gamma <= 1 and gamma - rho and
-    theta^2 are nonnegative (within rounding).  Draws W (n x n), then g (n),
-    then g0 from ``default_rng(seed)``; the upper triangle of W serves both
-    (u, v) and (v, u).  Identical (n, profile, seed) give a bit-identical
-    matrix.
+    theta^2 are nonnegative (within rounding).  Draws W (trials x n x n),
+    then g (trials x n), then g0 (trials) from ``default_rng(seed)``; the
+    upper triangle of W serves both (u, v) and (v, u).  Identical
+    (n, profile, seed, trials) give a bit-identical stack.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"need an integer n >= 2, got {n!r}")
@@ -52,17 +52,17 @@ def sample_surrogate(n: int, profile: CovarianceProfile, seed: int) -> np.ndarra
     beta = math.sqrt(rho)
 
     rng = np.random.default_rng(seed)
-    upper = np.triu(rng.standard_normal((n, n)), 1)
-    g = rng.standard_normal(n)
-    g0 = float(rng.standard_normal())
+    upper = np.triu(rng.standard_normal((trials, n, n)), 1)
+    g = rng.standard_normal((trials, n, 1))
+    g0 = rng.standard_normal((trials, 1, 1))
     # (theta (U + U^T) + alpha (g_u + g_v) + beta g0) / sqrt(n), in place
-    H = upper + upper.T
+    H = upper + upper.transpose(0, 2, 1)
     del upper
     H *= theta
-    pert = np.add.outer(g, g)
+    pert = g + g.transpose(0, 2, 1)
     pert *= alpha
     pert += beta * g0
     H += pert
     H /= math.sqrt(n)
-    np.fill_diagonal(H, 0.0)
+    H[:, np.arange(n), np.arange(n)] = 0.0
     return H

@@ -24,7 +24,7 @@ __all__ = [
     "Hypergraph",
     "check_budget",
     "sample_hypergraph",
-    "sample_adjacency_batches",
+    "sample_adjacency_stack",
     "adjacency",
     "center_scale",
     "write_hypergraph_text",
@@ -218,6 +218,8 @@ def _draw_classes(
     when C(n, r) reaches 2^62, or when the walk's (r + 1) x n unranking
     table would exceed both _TABLE_CELLS and the draw's expected
     r * C(n, r) * p vertex ids: the table then never outgrows the draw.
+    Several trials whose ranks reach 2^62 take one Poisson draw each, in
+    trial order.
     """
     n = params.n
     if n > 2**31:
@@ -237,7 +239,9 @@ def _draw_classes(
         elif trials == 1:
             edges = _poisson_subsets(rng, n, r, p)
         else:
-            raise ValueError(f"{trials} trials of C({n}, {r}) subsets exceed 2^62 ranks")
+            draws = [_poisson_subsets(rng, n, r, p) for _ in range(trials)]
+            trial = np.repeat(np.arange(trials), [rows.shape[0] for rows in draws])
+            edges = np.concatenate(draws)
         parts.append((edges, trial if trials > 1 else None))
     return parts
 
@@ -260,34 +264,22 @@ def sample_hypergraph(
     return Hypergraph(n=params.n, classes=tuple(edges for edges, _ in parts))
 
 
-# float64 bytes of one batch's (trials, n, n) stack in sample_adjacency_batches
-_TRIAL_BATCH_BYTES = 2**18
-
-
-def sample_adjacency_batches(
+def sample_adjacency_stack(
     params: ModelParams,
     seed: int,
-    trials: int,
+    trials: int = 1,
     max_edges: int = MAX_EDGES,
-):
-    """Pair-count matrices of ``trials`` independent draws from the model,
-    yielded as (t, n, n) int64 stacks, batch by batch.
+) -> np.ndarray:
+    """Pair-count matrices of ``trials`` independent draws from the model, as
+    one (trials, n, n) int64 stack drawn from ``default_rng(seed)``.
 
-    All batches come from one stream seeded by ``seed``; a batch holds as
-    many trials as fit ``_TRIAL_BATCH_BYTES`` as float64, at least one.  A
-    one-trial batch consumes the stream exactly as ``sample_hypergraph``
-    does, its Poisson path included.  A batch of t > 1 trials draws each
-    class from one rank walk, so it needs t * C(n, r_i) < 2^62 and raises
-    ValueError when drawn otherwise.  The budget refusal is that of
-    ``sample_hypergraph``, per trial, and comes at the call, before any
-    batch is drawn.
+    One trial consumes the stream exactly as ``sample_hypergraph`` does, its
+    Poisson path included.  The budget refusal is that of
+    ``sample_hypergraph``, per trial, and comes before anything is drawn.
     """
     check_budget(params, max_edges)
     rng = np.random.default_rng(seed)
-    n = params.n
-    batch = max(_TRIAL_BATCH_BYTES // (8 * n * n), 1)
-    sizes = (min(batch, left) for left in range(trials, 0, -batch))
-    return (_pair_counts(_draw_classes(rng, params, size), n, size) for size in sizes)
+    return _pair_counts(_draw_classes(rng, params, trials), params.n, trials)
 
 
 # pair keys per bincount block, raised to the output size for large n: bounds

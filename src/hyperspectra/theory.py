@@ -46,7 +46,6 @@ __all__ = [
     "derive_stats",
     "log_expected_edges",
     "covariance_profile",
-    "limit_variance",
     "predicted_variance",
     "classify_regime_k2",
     "pastur_lhs_bernoulli",
@@ -329,32 +328,10 @@ def covariance_profile(params: ModelParams) -> CovarianceProfile:
     return CovarianceProfile(rho_n=rho_n, gamma_n=gamma_n, theta_sq=theta_sq)
 
 
-def limit_variance(weights: Sequence[float], c: Sequence[float]) -> float:
-    """Limiting semicircle variance s^2 = sum_i w_i (1 - c_i)^2.
-
-    weights must sum to 1 within 1e-9; each w_i in [0, 1], each c_i in [0, 1).
-    """
-    if len(weights) != len(c):
-        raise ValueError(f"got {len(weights)} weights but {len(c)} size fractions")
-    if not weights:
-        raise ValueError("need at least one class")
-    total = math.fsum(weights)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"weights sum to {total!r}, not 1")
-    for i, (w, ci) in enumerate(zip(weights, c)):
-        if not 0.0 <= w <= 1.0:
-            raise ValueError(f"class {i}: weight {w} outside [0, 1]")
-        if not 0.0 <= ci < 1.0:
-            raise ValueError(f"class {i}: size fraction {ci} outside [0, 1)")
-    return math.fsum(w * (1.0 - ci) ** 2 for w, ci in zip(weights, c))
-
-
 def predicted_variance(params: ModelParams) -> float:
     """Semicircle variance s^2 = sum_i w_i (1 - r_i / n)^2 predicted at this n,
-    with the finite-n class weights.
-
-    Unlike ``limit_variance`` this accepts r_i = n; a model whose every
-    class has r_i = n predicts 0.
+    with the finite-n class weights; a model whose every class has r_i = n
+    predicts 0.
     """
     stats = derive_stats(params)
     return math.fsum(

@@ -93,7 +93,7 @@ def test_acceptance_04_linear_size_surrogate():
     params = ModelParams.of(2000, [600], [0.3])
     profile = covariance_profile(params)
     eigs = np.concatenate(
-        [eigenvalues(sample_surrogate(params.n, profile, 400 + t)) for t in range(5)]
+        [eigenvalues(sample_surrogate(params.n, profile, 400 + t)[0]) for t in range(5)]
     )
     s2 = (1.0 - 598.0 / 1998.0) ** 2
     ks = ks_distance(esd(eigs), SemicircleLaw(s2))
@@ -115,7 +115,7 @@ def test_acceptance_05_surrogate_covariance_fidelity():
     h13 = np.empty(seeds)
     h34 = np.empty(seeds)
     for s in range(seeds):
-        H = sample_surrogate(n, profile, 500 + s)
+        H = sample_surrogate(n, profile, 500 + s)[0]
         h12[s], h13[s], h34[s] = H[0, 1], H[0, 2], H[2, 3]
 
     def cov_check(x, y, target):

@@ -13,7 +13,16 @@ from scipy import stats as sps
 
 import hyperspectra.cli as cli_module
 import hyperspectra.hypergraph as hypergraph_module
-from hyperspectra import ModelParams, adjacency, center_scale, eigenvalues, sample_hypergraph
+from hyperspectra import (
+    ModelParams,
+    adjacency,
+    center_scale,
+    covariance_profile,
+    eigenvalues,
+    sample_adjacency_stack,
+    sample_hypergraph,
+    sample_surrogate,
+)
 from hyperspectra.cli import (
     ConfigError,
     dumps,
@@ -191,10 +200,13 @@ def test_config_file_rejects_untyped_classes(tmp_path, capsys, classes):
         ({"workers": 0}, "workers must be >= 1, got 0"),
         ({"r": 3}, "r must be a list"),
         ({"z": [1.0]}, "z must be [re, im], got [1.0]"),
+        ({"z": [float("nan"), 1]}, "z must be finite, got [nan, 1]"),
+        ({"z": [0, float("inf")]}, "z must be finite, got [0, inf]"),
+        ({"z": [10**400, 1]}, f"z must be finite, got [{10**400}, 1]"),
         ({"format": "xml"}, "format must be json or csv, got 'xml'"),
         ({"quiet": "yes"}, "quiet must be a boolean, got 'yes'"),
     ],
-    ids=["budget", "seed", "workers", "r", "z", "format", "quiet"],
+    ids=["budget", "seed", "workers", "r", "z", "z-nan", "z-inf", "z-huge", "format", "quiet"],
 )
 def test_config_file_rejects_bad_values(tmp_path, capsys, values, message):
     path = tmp_path / "run.json"
@@ -408,10 +420,15 @@ def test_spectrum_csv_precision(tmp_path, capsys):
 
 
 def test_montecarlo_deterministic_across_workers():
-    base = dict(n=300, r=[3], p=[0.01], trials=4, seed=42, bins=40)
-    r1 = run_montecarlo(cfg_of(**base, workers=1))
-    r4 = run_montecarlo(cfg_of(**base, workers=4))
-    assert dumps(r1) == dumps(r4)
+    # n = 300 is one trial per batch; n = 40 puts 20 trials in a batch
+    for base in (
+        dict(n=300, r=[3], p=[0.01], trials=4, seed=42, bins=40),
+        dict(n=40, r=[2, 3], p=[0.3, 0.02], trials=50, seed=42, bins=40),
+    ):
+        for command in ("montecarlo", "gaussian"):
+            r1 = run_montecarlo(cfg_of(**base, workers=1), command)
+            r3 = run_montecarlo(cfg_of(**base, workers=3), command)
+            assert dumps(r1) == dumps(r3)
 
 
 def test_montecarlo_deterministic_across_reruns():
@@ -497,8 +514,9 @@ def test_montecarlo_emit_files(tmp_path, capsys):
     ],
 )
 def test_montecarlo_trial_is_one_draw(tmp_path, capsys, r, p):
-    # trial t is the single hypergraph sample_hypergraph draws from
-    # _trial_seed(seed, t), whatever the worker count
+    # at n = 200 a batch is one trial, so trial t is the single hypergraph
+    # sample_hypergraph draws from _trial_seed(seed, t), whatever the worker
+    # count
     params = ModelParams.of(200, list(r), list(p))
     seed, trials = 11, 3
     expected = []
@@ -517,6 +535,36 @@ def test_montecarlo_trial_is_one_draw(tmp_path, capsys, r, p):
         ) == 0
         for t in range(trials):
             assert (out / f"eigenvalues_trial{t:04d}.csv").read_text() == expected[t]
+    capsys.readouterr()
+
+
+def test_montecarlo_batch_is_one_stack(tmp_path, capsys):
+    # n = 40 puts 20 trials in a batch: batch b's trials are the rows of one
+    # stack drawn from _trial_seed(seed, b), whatever the worker count
+    params = ModelParams.of(40, [2, 3], [0.3, 0.02])
+    profile = covariance_profile(params)
+    seed, trials, size = 11, 50, 20
+    assert cli_module._TRIAL_BATCH_BYTES // (8 * 40 * 40) == size
+    for command in ("montecarlo", "gaussian"):
+        expected = []
+        for b, t in enumerate((size, size, trials - 2 * size)):
+            batch_seed = cli_module._trial_seed(seed, b)
+            if command == "montecarlo":
+                stack = center_scale(sample_adjacency_stack(params, batch_seed, t), params)
+            else:
+                stack = sample_surrogate(40, profile, batch_seed, t)
+            expected += [cli_module._eigs_csv(eigenvalues(H)) for H in stack]
+        for workers in ("1", "3"):
+            out = tmp_path / command / workers
+            assert main(
+                [
+                    command, "--n", "40", "--r", "2,3", "--p", "0.3,0.02",
+                    "--trials", str(trials), "--seed", str(seed), "--workers", workers,
+                    "--out", str(out), "--emit", "csv", "--quiet",
+                ]
+            ) == 0
+            for t in range(trials):
+                assert (out / f"eigenvalues_trial{t:04d}.csv").read_text() == expected[t]
     capsys.readouterr()
 
 
@@ -609,7 +657,7 @@ def test_verify_flags_biased_sampler(monkeypatch, capsys):
 
     monkeypatch.setattr(hypergraph_module, "_bernoulli_ranks", never_empty)
     # one trial per batch, so each walk covers one trial's ranks
-    monkeypatch.setattr(hypergraph_module, "_TRIAL_BATCH_BYTES", 8 * 4 * 4)
+    monkeypatch.setattr(cli_module, "_TRIAL_BATCH_BYTES", 8 * 4 * 4)
     argv = ["verify", "--n", "4", "--r", "2,3", "--p", "0.5,0.5", "--trials", "10000"]
     assert main([*argv, "--seed", "2", "--quiet"]) == 1
     report = json.loads(capsys.readouterr().out)

@@ -1,4 +1,5 @@
-"""Each demo script runs to completion against the package in src/."""
+"""Each demo script runs to completion against the package in src/, with
+every warning an error."""
 
 import os
 import subprocess
@@ -18,7 +19,7 @@ def test_demo_runs(script):
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     proc = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-W", "error", str(script)],
         cwd=ROOT,
         env=env,
         capture_output=True,

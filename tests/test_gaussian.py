@@ -42,7 +42,7 @@ def reference_surrogate(n, theta, alpha, beta, seed):
 
 def test_coefficients_catalog():
     want, _ = reference_surrogate(30, 1.0, 0.0, 0.0, seed=3)
-    assert np.array_equal(sample_surrogate(30, GOE, seed=3), want)
+    assert np.array_equal(sample_surrogate(30, GOE, seed=3)[0], want)
 
     prof = covariance_profile(ModelParams.of(6, [4], [0.5]))
     assert coefficients(prof) == pytest.approx(
@@ -51,7 +51,7 @@ def test_coefficients_catalog():
     want, _ = reference_surrogate(
         30, math.sqrt(1.0 / 6.0), math.sqrt(1.0 / 3.0), math.sqrt(1.0 / 6.0), seed=3
     )
-    assert sample_surrogate(30, prof, seed=3) == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert sample_surrogate(30, prof, seed=3)[0] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_coefficients_variance_identity_randomized():
@@ -65,7 +65,7 @@ def test_coefficients_variance_identity_randomized():
         assert theta**2 + 2 * alpha**2 + beta**2 == pytest.approx(1.0, abs=1e-12)
         # the sampler builds with exactly these coefficients
         want, _ = reference_surrogate(6, theta, alpha, beta, seed=n)
-        assert sample_surrogate(6, prof, seed=n) == pytest.approx(want, abs=1e-15)
+        assert sample_surrogate(6, prof, seed=n)[0] == pytest.approx(want, abs=1e-15)
 
 
 def test_coefficients_reject_bad_profile():
@@ -75,24 +75,34 @@ def test_coefficients_reject_bad_profile():
 
 def test_sample_determinism():
     prof = covariance_profile(ModelParams.of(10, [3], [0.4]))
-    a = sample_surrogate(64, prof, seed=99)
-    b = sample_surrogate(64, prof, seed=99)
+    a = sample_surrogate(64, prof, seed=99)[0]
+    b = sample_surrogate(64, prof, seed=99)[0]
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, sample_surrogate(64, prof, seed=100))
+    assert not np.array_equal(a, sample_surrogate(64, prof, seed=100)[0])
 
 
 def test_sample_shape_invariants():
     prof = covariance_profile(ModelParams.of(12, [4], [0.25]))
-    H = sample_surrogate(80, prof, seed=2)
-    assert H.shape == (80, 80)
-    assert np.array_equal(H, H.T)
-    assert (np.diag(H) == 0.0).all()
+    assert sample_surrogate(80, prof, seed=2).shape == (1, 80, 80)
+    stack = sample_surrogate(20, prof, seed=2, trials=3)
+    assert stack.shape == (3, 20, 20)
+    # a stack draws W for every trial, then every g, then every g0
+    rng = np.random.default_rng(2)
+    W, g, g0 = rng.standard_normal((3, 20, 20)), rng.standard_normal((3, 20)), rng.standard_normal(3)
+    theta, alpha, beta = coefficients(prof)
+    for t, H in enumerate(stack):
+        upper = np.triu(W[t], 1)
+        want = (theta * (upper + upper.T) + alpha * np.add.outer(g[t], g[t]) + beta * g0[t]) / math.sqrt(20)
+        np.fill_diagonal(want, 0.0)
+        assert H == pytest.approx(want, abs=1e-15)
+        assert np.array_equal(H, H.T)
+        assert (np.diag(H) == 0.0).all()
 
 
 def test_entry_variance_goe_case():
     # theta = 1: plain symmetric Gaussian entries with variance 1/n
     n = 2000
-    H = sample_surrogate(n, GOE, seed=7)
+    H = sample_surrogate(n, GOE, seed=7)[0]
     off = H[np.triu_indices(n, 1)]
     var = off.var(ddof=1)
     se = math.sqrt(2.0 / off.size) / n  # Var estimator s.e. for Gaussian data
@@ -108,7 +118,7 @@ def test_entry_covariance_fidelity():
     h13 = np.empty(trials)
     h34 = np.empty(trials)
     for s in range(trials):
-        H = sample_surrogate(200, prof, seed=s)
+        H = sample_surrogate(200, prof, seed=s)[0]
         h12[s], h13[s], h34[s] = H[0, 1], H[0, 2], H[2, 3]
     for x, y, want in [(h12, h13, prof.gamma_n), (h12, h34, prof.rho_n)]:
         prod = 200.0 * x * y
@@ -126,7 +136,7 @@ def test_perturbation_rank_at_most_three():
     sv = np.linalg.svd(pert, compute_uv=False)
     assert sv[3] < 1e-8 * sv[0]
     # and the sampled matrix reproduces theta W + perturbation off-diagonal
-    assert sample_surrogate(n, prof, seed=5) == pytest.approx(want, abs=1e-15)
+    assert sample_surrogate(n, prof, seed=5)[0] == pytest.approx(want, abs=1e-15)
 
 
 def test_sample_seeded_stream_pinned():
@@ -139,7 +149,7 @@ def test_sample_seeded_stream_pinned():
         [-0.14513854452052366, -0.41808562711850056, 0.0, -0.18670319857098555],
         [-0.3271220603191557, -0.038387744688890696, -0.18670319857098555, 0.0],
     ]
-    assert sample_surrogate(4, prof, seed=1) == pytest.approx(np.array(want), abs=1e-15)
+    assert sample_surrogate(4, prof, seed=1)[0] == pytest.approx(np.array(want), abs=1e-15)
 
 
 def test_entry_normality():
@@ -149,7 +159,7 @@ def test_entry_normality():
     n = 50
     vals = np.empty(10_000)
     for s in range(vals.size):
-        H = sample_surrogate(n, prof, seed=s)
+        H = sample_surrogate(n, prof, seed=s)[0]
         vals[s] = H[1, 2] * math.sqrt(n)
     m = vals.mean()
     sd = vals.std(ddof=1)

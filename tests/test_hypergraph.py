@@ -20,6 +20,7 @@ from hyperspectra import (
     sample_hypergraph,
     write_hypergraph_text,
 )
+import hyperspectra.cli as cli_module
 import hyperspectra.hypergraph as hypergraph_module
 from hyperspectra.cli import _trace_moments
 from hyperspectra.hypergraph import (
@@ -28,7 +29,7 @@ from hyperspectra.hypergraph import (
     _draw_classes,
     _pair_counts,
     _unrank,
-    sample_adjacency_batches,
+    sample_adjacency_stack,
 )
 
 
@@ -351,7 +352,7 @@ def test_batched_trials_match_single_trial_path():
     n, trials = params.n, 60
     parts = _draw_classes(np.random.default_rng(8), params, trials)
     stack = _pair_counts(parts, n, trials)
-    assert np.array_equal(next(sample_adjacency_batches(params, 8, trials)), stack)
+    assert np.array_equal(sample_adjacency_stack(params, 8, trials), stack)
     H = center_scale(stack, params)
     m2, m4 = _trace_moments(H)
     for t in range(trials):
@@ -366,8 +367,8 @@ def test_batched_trials_match_single_trial_path():
         assert m4[t] == pytest.approx(np.sum(H2 * H2) / n, abs=1e-12)
     # one trial consumes the stream exactly as sample_hypergraph does
     for seed in range(5):
-        (one,) = sample_adjacency_batches(params, seed, 1)
-        assert np.array_equal(one[0], adjacency(sample_hypergraph(params, seed)))
+        (one,) = sample_adjacency_stack(params, seed)
+        assert np.array_equal(one, adjacency(sample_hypergraph(params, seed)))
 
 
 def pooled_chisquare_pvalue(observed, expected):
@@ -379,7 +380,8 @@ def pooled_chisquare_pvalue(observed, expected):
 
 
 def test_batched_trials_law(monkeypatch):
-    # n = 5, r = 2: a trial's adjacency is its edge set, one of 2^10
+    # n = 5, r = 2: a trial's adjacency is its edge set, one of 2^10, and a
+    # centred entry is positive exactly where its edge is present
     p, trials, batch = 0.5, 42_000, 7
     params = ModelParams.of(5, [2], [p])
     iu, iv = np.triu_indices(5, 1)
@@ -387,11 +389,12 @@ def test_batched_trials_law(monkeypatch):
     present = {}
     for label, batch_bytes in (("default", None), ("small", 8 * 25 * batch)):
         if batch_bytes is not None:
-            monkeypatch.setattr(hypergraph_module, "_TRIAL_BATCH_BYTES", batch_bytes)
-        stacks = list(sample_adjacency_batches(params, 11, trials))
+            monkeypatch.setattr(cli_module, "_TRIAL_BATCH_BYTES", batch_bytes)
+        draw, batches = cli_module._trial_source(params, None, 11, trials, hypergraph_module.MAX_EDGES)
+        stacks = [draw(b) for b in batches]
         if batch_bytes is not None:
-            assert {A.shape[0] for A in stacks} == {batch}
-        present[label] = np.concatenate([A[:, iu, iv] for A in stacks])
+            assert {H.shape[0] for H in stacks} == {batch}
+        present[label] = np.concatenate([H[:, iu, iv] > 0 for H in stacks]).astype(np.int64)
     # each trial's edge set: all 2^10 sets equally likely at p = 1/2
     for label, edges in present.items():
         observed = np.bincount(edges @ bits, minlength=1024)
@@ -411,16 +414,18 @@ def test_batched_trials_law(monkeypatch):
         assert pooled_chisquare_pvalue(observed, expected) > 0.001, label
 
 
-def test_batches_refuse_rank_overflow(monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("drew before the refusal")
-
-    monkeypatch.setattr(hypergraph_module, "_bernoulli_ranks", never)
-    monkeypatch.setattr(hypergraph_module, "_poisson_subsets", never)
-    # n = 100 puts 3 trials in a batch, and C(100, 20) alone exceeds 2^62
-    with pytest.raises(ValueError) as exc:
-        next(sample_adjacency_batches(ModelParams.of(100, [20], [1e-18]), 0, 3))
-    assert str(exc.value) == "3 trials of C(100, 20) subsets exceed 2^62 ranks"
+def test_batched_trials_past_rank_limit():
+    # n = 100 puts 3 trials in a batch, and C(100, 20) alone exceeds 2^62:
+    # the r = 20 class takes one Poisson draw per trial
+    params = ModelParams.of(100, [2, 20], [0.05, 1e-18])
+    trials = 3
+    parts = _draw_classes(np.random.default_rng(4), params, trials)
+    assert np.array_equal(sample_adjacency_stack(params, 4, trials), _pair_counts(parts, 100, trials))
+    expected = math.comb(100, 20) * 1e-18
+    for t in range(trials):
+        # the trial's rows must form a valid hypergraph on their own
+        h = Hypergraph(n=100, classes=tuple(edges[trial == t] for edges, trial in parts))
+        assert abs(h.edge_counts[1] - expected) <= 5 * math.sqrt(expected)
 
 
 # ---------------------------------------------------------------------------

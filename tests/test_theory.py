@@ -26,7 +26,6 @@ from hyperspectra import (
     derive_stats,
     gaussian_tail_second_moment,
     gaussian_truncated_third_moment,
-    limit_variance,
     log_binomial,
     log_expected_edges,
     pastur_lhs_bernoulli,
@@ -292,19 +291,17 @@ def test_covariance_profile_ordering_randomized():
 
 
 def test_limit_variance_catalog():
-    assert limit_variance([1.0], [0.0]) == 1.0
-    for c in (0.1, 0.3, 0.9):
-        assert limit_variance([1.0], [c]) == pytest.approx((1 - c) ** 2, rel=1e-14)
-    assert limit_variance([0.5, 0.5], [0.0, 0.5]) == pytest.approx(0.625, rel=1e-14)
-
-
-def test_limit_variance_validation():
-    with pytest.raises(ValueError):
-        limit_variance([0.6, 0.6], [0.0, 0.0])
-    with pytest.raises(ValueError):
-        limit_variance([1.0], [1.0])
-    with pytest.raises(ValueError):
-        limit_variance([1.0], [-0.1])
+    # one class with r / n = c predicts (1 - c)^2
+    for n, r in ((20, 2), (10, 3), (10, 9)):
+        s2 = predicted_variance(ModelParams.of(n, [r], [0.3]))
+        assert s2 == pytest.approx((1 - r / n) ** 2, rel=1e-14)
+    # c -> 0 gives 1, within O(1/n)
+    assert predicted_variance(ModelParams.of(10**6, [2], [1e-3])) == pytest.approx(1.0, abs=5e-6)
+    # n = 4, r = (2, 3): sigma_i^2 = C(2, r_i - 2) p_i (1 - p_i) is 1/4 for
+    # both classes, so w = (1/2, 1/2), c = (1/2, 3/4) and s^2 = 5/32
+    equal = ModelParams.of(4, [2, 3], [0.5, (1 - math.sqrt(0.5)) / 2])
+    assert derive_stats(equal).w_fin == pytest.approx((0.5, 0.5), rel=1e-14)
+    assert predicted_variance(equal) == pytest.approx(5 / 32, rel=1e-14)
 
 
 def test_predicted_variance():
@@ -312,6 +309,8 @@ def test_predicted_variance():
     assert predicted_variance(ModelParams.of(5, [2, 3], [0.5, 0.5])) == pytest.approx(
         0.21, rel=1e-14
     )
+    # every class with r_i = n predicts 0
+    assert predicted_variance(ModelParams.of(4, [4], [0.5])) == 0.0
 
 
 def test_model_params_rejects_untyped_classes():
@@ -528,14 +527,10 @@ def test_chatterjee_domain():
         (lambda: ModelParams.of(5, [2], [1.5]), "class 0: probability 1.5 outside [0, 1]"),
         (lambda: ModelParams(n=5, classes=()), "need at least one size class"),
         (lambda: ModelParams.of(5, [2, 3], [0.5]), "got 2 sizes but 1 probabilities"),
-        (lambda: limit_variance([1.0], [0.0, 0.0]), "got 1 weights but 2 size fractions"),
-        (lambda: limit_variance([], []), "need at least one class"),
-        (lambda: limit_variance([1.5, -0.5], [0.0, 0.0]), "class 0: weight 1.5 outside [0, 1]"),
         (lambda: pastur_lhs_bernoulli(ModelParams.of(50, [3], [0.2]), 0.0), "eps must be positive, got 0.0"),
     ],
     ids=[
-        "decreasing-sizes", "p-above-1", "no-classes", "unequal-lists",
-        "limit-unequal-lists", "limit-empty", "limit-weight-above-1", "pastur-eps",
+        "decreasing-sizes", "p-above-1", "no-classes", "unequal-lists", "pastur-eps",
     ],
 )
 def test_theory_refusals(call, message):
