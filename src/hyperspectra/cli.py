@@ -83,6 +83,8 @@ SCHEMA_VERSION = 1
 
 _ENGINES = ("auto", "bernoulli", "gaussian-surrogate")
 _EMITS = ("csv", "svg", "json")
+# histogram bins, refused above this before anything is allocated
+_MAX_BINS = 2**16
 
 _DEFAULTS: dict[str, Any] = {
     "n": None,
@@ -220,7 +222,7 @@ def _validate_config(cfg: dict) -> None:
     _require_int(cfg, "seed", 0, 2**64 - 1)
     if cfg["trials"] is not None:
         _require_int(cfg, "trials", 1)
-    _require_int(cfg, "bins", 1)
+    _require_int(cfg, "bins", 1, _MAX_BINS)
     _require_int(cfg, "workers", 1)
     eps = cfg["eps"]
     if not isinstance(eps, (int, float)) or isinstance(eps, bool) or not eps > 0:

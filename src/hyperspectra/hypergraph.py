@@ -104,8 +104,10 @@ class Hypergraph:
 # Populations below this are walked rank by rank; rank sums then stay in int64.
 _RANK_LIMIT = 2**62
 _INT64_MAX = 2**63 - 1
-# gap draws per chunk of the rank walk; bounds the walk's scratch memory
+# gap draws per chunk of the rank walk; a chunk's size decides the stream
 _MAX_CHUNK = 2**20
+# ranks or edge rows per piece; bounds the sampler's and adjacency's scratch
+_PIECE = 2**16
 # unranking-table cells that any single draw may use (see _draw_classes)
 _TABLE_CELLS = 2**20
 
@@ -124,17 +126,17 @@ def _binomial_table(n: int, r: int) -> np.ndarray:
     return table
 
 
-def _unrank(ranks: np.ndarray, n: int, r: int) -> np.ndarray:
-    """The r-subsets of {0..n-1} with the given colex ranks, one per row.
+def _unrank(ranks: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The r-subsets with the given colex ranks, one per row, through the
+    ``_binomial_table(n, r)`` of their ground set {0..n-1}.
 
     Colex rank of c_1 < ... < c_r is sum_j C(c_j, j) (combinatorial number
     system); c_j is the largest c with C(c, j) <= the rank left over.
     Distinct ranks give distinct rows, each strictly ascending.
     """
-    table = _binomial_table(n, r)
     rest = np.array(ranks, dtype=np.int64)
-    out = np.empty((rest.size, r), dtype=np.int32)
-    for j in range(r, 1, -1):
+    out = np.empty((rest.size, table.shape[0] - 1), dtype=np.int32)
+    for j in range(out.shape[1], 1, -1):
         col = np.searchsorted(table[j], rest, side="right") - 1
         rest -= table[j][col]
         out[:, j - 1] = col
@@ -143,31 +145,37 @@ def _unrank(ranks: np.ndarray, n: int, r: int) -> np.ndarray:
     return out
 
 
-def _bernoulli_ranks(rng: np.random.Generator, pop: int, p: float) -> np.ndarray:
-    """Ascending ranks in [0, pop), each kept independently with probability p.
+def _bernoulli_ranks(rng: np.random.Generator, pop: int, p: float):
+    """Ascending ranks in [0, pop), each kept independently with probability
+    p, yielded in pieces of at most ``_PIECE`` ranks.
 
     Requires pop < 2^62 and 0 < p <= 1.  Walks the ranks with Geometric(p)
     gaps (Batagelj & Brandes, Phys. Rev. E 71, 2005); at p = 1 every gap is 1.
+    Each chunk of gaps (its size set by pop and p) is drawn piece by piece,
+    which numpy's gap-by-gap draws make the same stream; the rest of the
+    chunk that leaves the range is drawn and dropped.
     """
     mean = pop * p
     chunk = int(min(mean + 6.0 * math.sqrt(mean * (1.0 - p)) + 16.0, _MAX_CHUNK))
-    parts = []
     last = -1
     while True:
-        pos = rng.geometric(p, size=chunk)
-        # numpy saturates at INT64_MAX for tiny p.  A gap of pop + 1 already
-        # leaves the range from rank -1, so clipping there keeps the law (at
-        # pop, an empty class would be impossible) and keeps every prefix sum
-        # up to the first one >= pop exact in int64; later sums may wrap.
-        np.minimum(pos, pop + 1, out=pos)
-        pos[0] += last
-        np.cumsum(pos, out=pos)
-        past = np.flatnonzero(pos >= pop)
-        if past.size:
-            parts.append(pos[: past[0]])
-            return np.concatenate(parts)
-        parts.append(pos)
-        last = int(pos[-1])
+        for start in range(0, chunk, _PIECE):
+            pos = rng.geometric(p, size=min(_PIECE, chunk - start))
+            # numpy saturates at INT64_MAX for tiny p.  A gap of pop + 1 already
+            # leaves the range from rank -1, so clipping there keeps the law (at
+            # pop, an empty class would be impossible) and keeps every prefix
+            # sum up to the first one >= pop exact in int64; later ones may wrap.
+            np.minimum(pos, pop + 1, out=pos)
+            pos[0] += last
+            np.cumsum(pos, out=pos)
+            past = np.flatnonzero(pos >= pop)
+            if past.size:
+                yield pos[: past[0]]
+                for rest in range(start + _PIECE, chunk, _PIECE):
+                    rng.geometric(p, size=min(_PIECE, chunk - rest))
+                return
+            yield pos
+            last = int(pos[-1])
 
 
 def _poisson_subsets(rng: np.random.Generator, n: int, r: int, p: float) -> np.ndarray:
@@ -203,47 +211,55 @@ def check_budget(params: ModelParams, max_edges: int) -> None:
         )
 
 
-def _draw_classes(
-    rng: np.random.Generator, params: ModelParams, trials: int
-) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """Per class, the rows of ``trials`` independent draws and each row's
-    trial (None when trials = 1).
+def _draw_classes(rng: np.random.Generator, params: ModelParams, trials: int):
+    """The rows of ``trials`` independent draws of each class, as (class
+    index, rows, trial) pieces; ``trial`` is an array or one int for all rows.
 
     A Bernoulli(p) walk over the ranks [0, trials * C(n, r)) is exactly
     ``trials`` independent draws of the class: rank rho belongs to trial
     rho // C(n, r) and is the subset of colex rank rho % C(n, r).  Rows come
-    out grouped by trial, each group in ascending rank order.
+    by trial, each trial's in ascending rank order, ``_PIECE`` at most.
 
     A single draw (trials = 1) with p < 1 merges Poisson subsets instead
     when C(n, r) reaches 2^62, or when the walk's (r + 1) x n unranking
     table would exceed both _TABLE_CELLS and the draw's expected
     r * C(n, r) * p vertex ids: the table then never outgrows the draw.
     Several trials whose ranks reach 2^62 take one Poisson draw each, in
-    trial order.
+    trial order.  A Poisson draw is one piece.
     """
     n = params.n
-    if n > 2**31:
-        raise ValueError(f"n = {n} exceeds 2^31: vertex ids are int32")
-    parts = []
-    for r, p in params.classes:
-        trial = np.empty(0, dtype=np.int64)
+    for i, (r, p) in enumerate(params.classes):
         if p == 0.0:
-            edges = np.empty((0, r), dtype=np.int32)
-        elif trials * (pop := math.comb(n, r)) < _RANK_LIMIT and (
+            continue
+        if trials * (pop := math.comb(n, r)) < _RANK_LIMIT and (
             trials > 1 or p == 1.0 or (r + 1) * n <= max(_TABLE_CELLS, pop * p * r)
         ):
-            ranks = _bernoulli_ranks(rng, trials * pop, p)
-            if trials > 1:
-                trial, ranks = np.divmod(ranks, pop)
-            edges = _unrank(ranks, n, r)
-        elif trials == 1:
-            edges = _poisson_subsets(rng, n, r, p)
+            table = _binomial_table(n, r)
+            for ranks in _bernoulli_ranks(rng, trials * pop, p):
+                trial, ranks = np.divmod(ranks, pop) if trials > 1 else (0, ranks)
+                yield i, _unrank(ranks, table), trial
         else:
-            draws = [_poisson_subsets(rng, n, r, p) for _ in range(trials)]
-            trial = np.repeat(np.arange(trials), [rows.shape[0] for rows in draws])
-            edges = np.concatenate(draws)
-        parts.append((edges, trial if trials > 1 else None))
-    return parts
+            for t in range(trials):
+                yield i, _poisson_subsets(rng, n, r, p), t
+
+
+def _generator(params: ModelParams, seed: int, max_edges: int) -> np.random.Generator:
+    """A draw's generator, after the refusals that come before anything is drawn."""
+    check_budget(params, max_edges)
+    if params.n > 2**31:
+        raise ValueError(f"n = {params.n} exceeds 2^31: vertex ids are int32")
+    return np.random.default_rng(seed)
+
+
+def _add_pairs(counts: np.ndarray, rows: np.ndarray, n: int, trial) -> None:
+    """Add each row's pairs u < v to ``counts`` at flat key trial n^2 + u n + v
+    (``trial``: one int or each row's), one column pair of keys at a time."""
+    for a, b in zip(*np.triu_indices(rows.shape[1], 1)):
+        keys = rows[:, a].astype(np.int64)
+        keys *= n
+        keys += rows[:, b]
+        keys += trial * (n * n)
+        np.add.at(counts.reshape(-1), keys, 1)
 
 
 def sample_hypergraph(
@@ -258,10 +274,14 @@ def sample_hypergraph(
     checked in log space before anything is drawn.  Identical
     (params, seed, max_edges) give a bit-identical result.
     """
-    check_budget(params, max_edges)
-    rng = np.random.default_rng(seed)
-    parts = _draw_classes(rng, params, 1)
-    return Hypergraph(n=params.n, classes=tuple(edges for edges, _ in parts))
+    rng = _generator(params, seed, max_edges)
+    classes = [np.empty((0, r), dtype=np.int32) for r in params.r]
+    for i, rows, _ in _draw_classes(rng, params, 1):
+        # grown in place piece by piece: no second copy of a class's rows
+        m = classes[i].shape[0]
+        classes[i].resize((m + rows.shape[0], rows.shape[1]), refcheck=False)
+        classes[i][m:] = rows
+    return Hypergraph(n=params.n, classes=tuple(classes))
 
 
 def sample_adjacency_stack(
@@ -276,50 +296,28 @@ def sample_adjacency_stack(
     One trial consumes the stream exactly as ``sample_hypergraph`` does, its
     Poisson path included.  The budget refusal is that of
     ``sample_hypergraph``, per trial, and comes before anything is drawn.
+    Scratch beyond the counts and the result is one piece.
     """
-    check_budget(params, max_edges)
-    rng = np.random.default_rng(seed)
-    return _pair_counts(_draw_classes(rng, params, trials), params.n, trials)
-
-
-# pair keys per bincount block, raised to the output size for large n: bounds
-# the key scratch by the result and keeps each block's bincount amortized
-_ADJACENCY_BLOCK_KEYS = 2**20
-
-
-def _pair_counts(
-    parts: list[tuple[np.ndarray, np.ndarray | None]], n: int, trials: int = 1
-) -> np.ndarray:
-    """(trials, n, n) symmetric pair-count matrices with zero diagonals.
-
-    ``parts`` holds edge rows and each row's trial (None: all in trial 0).
-    Entry (t, u, v) counts trial t's rows containing both u and v, from one
-    bincount over the keys t n^2 + u n + v, u < v.  Keys are built in blocks
-    of rows, so scratch memory does not grow with the edge count.
-    """
-    counts = np.zeros(trials * n * n, dtype=np.int64)
-    for edges, trial in parts:
-        iu, iv = np.triu_indices(edges.shape[1], 1)
-        rows = max(max(_ADJACENCY_BLOCK_KEYS, counts.size) // iu.size, 1)
-        for start in range(0, edges.shape[0], rows):
-            block = edges[start : start + rows]
-            keys = block[:, iu].astype(np.int64)
-            keys *= n
-            keys += block[:, iv]
-            if trial is not None:
-                keys += trial[start : start + rows, None] * (n * n)
-            counts += np.bincount(keys.ravel(), minlength=counts.size)
-    upper = counts.reshape(trials, n, n)
-    return upper + upper.transpose(0, 2, 1)
+    rng = _generator(params, seed, max_edges)
+    n = params.n
+    counts = np.zeros((trials, n, n), dtype=np.int64)
+    for _, rows, trial in _draw_classes(rng, params, trials):
+        _add_pairs(counts, rows, n, trial)
+    return counts + counts.transpose(0, 2, 1)
 
 
 def adjacency(h: Hypergraph) -> np.ndarray:
     """Dense symmetric pair-count matrix with zero diagonal, int64.
 
     Entry (u, v) counts the hyperedges containing both u and v, summed over
-    classes.  Cost is O(sum_i m_i r_i^2) plus one dense n x n buffer.
+    classes.  Cost is O(sum_i m_i r_i^2) plus two dense n x n buffers and
+    the pair keys of ``_PIECE`` rows.
     """
-    return _pair_counts([(edges, None) for edges in h.classes], h.n)[0]
+    counts = np.zeros((h.n, h.n), dtype=np.int64)
+    for edges in h.classes:
+        for start in range(0, edges.shape[0], _PIECE):
+            _add_pairs(counts, edges[start : start + _PIECE], h.n, 0)
+    return counts + counts.T
 
 
 def center_scale(A: np.ndarray, params: ModelParams) -> np.ndarray:

@@ -198,6 +198,8 @@ def test_config_file_rejects_untyped_classes(tmp_path, capsys, classes):
         ({"budget": 5}, "budget must be an object"),
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
         ({"workers": 0}, "workers must be >= 1, got 0"),
+        ({"bins": 10**8}, "bins must be in 1..65536, got 100000000"),
+        ({"bins": 2**16 + 1}, "bins must be in 1..65536, got 65537"),
         ({"r": 3}, "r must be a list"),
         ({"z": [1.0]}, "z must be [re, im], got [1.0]"),
         ({"z": [float("nan"), 1]}, "z must be finite, got [nan, 1]"),
@@ -206,7 +208,7 @@ def test_config_file_rejects_untyped_classes(tmp_path, capsys, classes):
         ({"format": "xml"}, "format must be json or csv, got 'xml'"),
         ({"quiet": "yes"}, "quiet must be a boolean, got 'yes'"),
     ],
-    ids=["budget", "seed", "workers", "r", "z", "z-nan", "z-inf", "z-huge", "format", "quiet"],
+    ids=["budget", "seed", "workers", "bins-huge", "bins-cap", "r", "z", "z-nan", "z-inf", "z-huge", "format", "quiet"],
 )
 def test_config_file_rejects_bad_values(tmp_path, capsys, values, message):
     path = tmp_path / "run.json"
@@ -311,11 +313,11 @@ def test_dense_allocation_failure_exit(tmp_path, monkeypatch, capsys):
         raise MemoryError("Unable to allocate dense matrix")
 
     # spectrum builds its matrix through adjacency, montecarlo's Bernoulli
-    # trials through the batch sampler's pair counts
+    # trials through the batch sampler's pair-count accumulator
     hpath = tmp_path / "h.txt"
     hpath.write_text("4 1\n2 0\n")
     monkeypatch.setattr(cli_module, "adjacency", no_memory)
-    monkeypatch.setattr(hypergraph_module, "_pair_counts", no_memory)
+    monkeypatch.setattr(hypergraph_module, "_add_pairs", no_memory)
     for argv in (
         ["spectrum", str(hpath), "--n", "4", "--r", "2", "--p", "0.5", "--out", str(tmp_path)],
         [
@@ -329,8 +331,8 @@ def test_dense_allocation_failure_exit(tmp_path, monkeypatch, capsys):
 
 
 def test_montecarlo_huge_bins_exit(capsys):
-    # 10^15 bins is 8 PB, beyond any user address space: the allocation that
-    # fails is the histogram, not an n x n matrix
+    # 10^15 bins is 8 PB: refused as configuration before anything is
+    # allocated, not left to fail (or be killed) in the histogram
     code = main(
         [
             "montecarlo",
@@ -338,10 +340,8 @@ def test_montecarlo_huge_bins_exit(capsys):
             "--trials", "1", "--bins", "1000000000000000", "--quiet",
         ]
     )
-    assert code == 4
-    err = capsys.readouterr().err
-    assert err.startswith("error: out of memory: ")
-    assert "20 x 20" not in err
+    assert code == 2
+    assert capsys.readouterr().err == "error: bins must be in 1..65536, got 1000000000000000\n"
 
 
 def test_spectrum_empty_hypergraph(tmp_path, capsys):
@@ -652,8 +652,12 @@ def test_verify_flags_biased_sampler(monkeypatch, capsys):
     exact_walk = hypergraph_module._bernoulli_ranks
 
     def never_empty(rng, pop, p):
-        ranks = exact_walk(rng, pop, p)
-        return ranks if ranks.size else np.array([pop - 1], dtype=np.int64)
+        kept = 0
+        for piece in exact_walk(rng, pop, p):
+            kept += piece.size
+            yield piece
+        if not kept:
+            yield np.array([pop - 1], dtype=np.int64)
 
     monkeypatch.setattr(hypergraph_module, "_bernoulli_ranks", never_empty)
     # one trial per batch, so each walk covers one trial's ranks

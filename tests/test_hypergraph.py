@@ -27,7 +27,6 @@ from hyperspectra.hypergraph import (
     _bernoulli_ranks,
     _binomial_table,
     _draw_classes,
-    _pair_counts,
     _unrank,
     sample_adjacency_stack,
 )
@@ -188,7 +187,7 @@ def test_entry_covariance_monte_carlo():
 
 def test_unrank_matches_combinations():
     for n, r in [(7, 3), (9, 4), (10, 2), (12, 5), (6, 6)]:
-        got = _unrank(np.arange(math.comb(n, r)), n, r)
+        got = _unrank(np.arange(math.comb(n, r)), _binomial_table(n, r))
         colex = sorted(itertools.combinations(range(n), r), key=lambda c: c[::-1])
         assert np.array_equal(got, np.array(colex)), (n, r)
 
@@ -201,6 +200,13 @@ def test_binomial_table_matches_comb():
         assert _binomial_table(n, r).tolist() == want, (n, r)
 
 
+def walk(rng, pop, p):
+    """The ranks of one walk, joined from pieces of at most _PIECE ranks."""
+    pieces = list(_bernoulli_ranks(rng, pop, p))
+    assert all(piece.size <= hypergraph_module._PIECE for piece in pieces)
+    return np.concatenate([np.empty(0, dtype=np.int64), *pieces])
+
+
 def test_bernoulli_ranks_law():
     # each rank kept independently with probability p, so K ~ Binomial(pop, p);
     # (3, 0.05) needs P(K = 0) > 0, which a walk that always lands a rank fails
@@ -210,7 +216,7 @@ def test_bernoulli_ranks_law():
         hits = np.zeros(pop, dtype=np.int64)
         counts = np.empty(trials, dtype=np.int64)
         for t in range(trials):
-            ranks = _bernoulli_ranks(rng, pop, p)
+            ranks = walk(rng, pop, p)
             assert (np.diff(ranks) > 0).all()
             assert ranks.size == 0 or (ranks[0] >= 0 and ranks[-1] < pop)
             hits[ranks] += 1
@@ -231,37 +237,39 @@ def test_bernoulli_ranks_law():
 
 
 class CappedRng:
-    """default_rng(seed) that allows ``calls`` geometric draws, so a walk that
-    never reaches the end of its range fails instead of running on."""
+    """default_rng(seed) that allows ``gaps`` geometric draws in all, so a
+    walk that never reaches the end of its range fails instead of running on."""
 
-    def __init__(self, seed, calls):
+    def __init__(self, seed, gaps):
         self.rng = np.random.default_rng(seed)
-        self.calls = calls
+        self.gaps = gaps
 
     def geometric(self, p, size):
-        self.calls -= 1
-        assert self.calls >= 0, "walk overran its chunks"
+        self.gaps -= size
+        assert self.gaps >= 0, "walk overran its chunks"
         return self.rng.geometric(p, size=size)
 
 
 def test_bernoulli_ranks_chunk_continuation(monkeypatch):
-    # Small chunks only change how many surplus gaps are drawn past the cut:
-    # the K kept ranks plus the gap that leaves the range take exactly
-    # ceil((K + 1) / chunk) draws, and the ranks equal the one-chunk walk's.
+    # Small chunks only change how many surplus gaps are drawn past the cut,
+    # and pieces never change it: the K kept ranks plus the gap that leaves
+    # the range take exactly ceil((K + 1) / chunk) whole chunks of gaps, and
+    # the ranks equal the one-chunk walk's.
     cases = [
         (100, 1.0), (1000, 0.3), (5000, 0.01), (50, 0.5),
         (10**6, 1e-4), (7, 1e-300), (2**40, 1e-9),
     ]
     for pop, p in cases:
         for seed in range(5):
-            want = _bernoulli_ranks(np.random.default_rng(seed), pop, p)
-            for chunk in (1, 2, 7):
+            want = walk(np.random.default_rng(seed), pop, p)
+            for chunk, piece in itertools.product((1, 2, 7), (1, 3, 2**16)):
                 monkeypatch.setattr(hypergraph_module, "_MAX_CHUNK", chunk)
-                rng = CappedRng(seed, -(-(want.size + 1) // chunk))
-                got = _bernoulli_ranks(rng, pop, p)
+                monkeypatch.setattr(hypergraph_module, "_PIECE", piece)
+                rng = CappedRng(seed, chunk * -(-(want.size + 1) // chunk))
+                got = walk(rng, pop, p)
                 monkeypatch.undo()
-                assert rng.calls == 0, (pop, p, seed, chunk)
-                np.testing.assert_array_equal(got, want, err_msg=f"{pop, p, seed, chunk}")
+                assert rng.gaps == 0, (pop, p, seed, chunk, piece)
+                np.testing.assert_array_equal(got, want, err_msg=f"{pop, p, seed, chunk, piece}")
 
 
 def test_sample_joint_law():
@@ -347,12 +355,22 @@ def test_sampler_admits_n_at_int32_limit(monkeypatch):
 # batched trials
 
 
+def drawn_trials(seed, params, trials):
+    """Per class, the rows that _draw_classes yields from default_rng(seed)
+    and each row's trial, joined from its pieces."""
+    rows = [[np.empty((0, r), dtype=np.int32)] for r in params.r]
+    owners = [[np.empty(0, dtype=np.int64)] for _ in params.r]
+    for i, piece, trial in _draw_classes(np.random.default_rng(seed), params, trials):
+        rows[i].append(piece)
+        owners[i].append(np.broadcast_to(trial, piece.shape[:1]))
+    return [(np.concatenate(e), np.concatenate(t)) for e, t in zip(rows, owners)]
+
+
 def test_batched_trials_match_single_trial_path():
     params = ModelParams.of(5, [2, 3], [0.5, 0.3])
     n, trials = params.n, 60
-    parts = _draw_classes(np.random.default_rng(8), params, trials)
-    stack = _pair_counts(parts, n, trials)
-    assert np.array_equal(sample_adjacency_stack(params, 8, trials), stack)
+    parts = drawn_trials(8, params, trials)
+    stack = sample_adjacency_stack(params, 8, trials)
     H = center_scale(stack, params)
     m2, m4 = _trace_moments(H)
     for t in range(trials):
@@ -419,12 +437,13 @@ def test_batched_trials_past_rank_limit():
     # the r = 20 class takes one Poisson draw per trial
     params = ModelParams.of(100, [2, 20], [0.05, 1e-18])
     trials = 3
-    parts = _draw_classes(np.random.default_rng(4), params, trials)
-    assert np.array_equal(sample_adjacency_stack(params, 4, trials), _pair_counts(parts, 100, trials))
+    parts = drawn_trials(4, params, trials)
+    stack = sample_adjacency_stack(params, 4, trials)
     expected = math.comb(100, 20) * 1e-18
     for t in range(trials):
         # the trial's rows must form a valid hypergraph on their own
         h = Hypergraph(n=100, classes=tuple(edges[trial == t] for edges, trial in parts))
+        assert np.array_equal(stack[t], adjacency(h))
         assert abs(h.edge_counts[1] - expected) <= 5 * math.sqrt(expected)
 
 
@@ -471,12 +490,59 @@ def test_adjacency_blocks_bound_memory(monkeypatch):
     small = sample_hypergraph(ModelParams.of(100, [3], [0.125]), seed=1)
     large = sample_hypergraph(ModelParams.of(100, [3], [0.5]), seed=1)
     whole = [adjacency(small), adjacency(large)]
-    monkeypatch.setattr(hypergraph_module, "_ADJACENCY_BLOCK_KEYS", 1024)
+    monkeypatch.setattr(hypergraph_module, "_PIECE", 256)
     assert np.array_equal(adjacency(small), whole[0])
     assert np.array_equal(adjacency(large), whole[1])
     assert large.edge_counts[0] > 3.5 * small.edge_counts[0]
     peaks = [traced_peak_mib(adjacency, h) for h in (small, large)]
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+# (params, trials): the benchmark's mixture and file models, batches of
+# 20 and 1310 trials (p = 0.5 takes numpy's other geometric branch), a
+# Poisson class at one and at three trials, and p = 1 beside p = 0
+PIECE_MODELS = [
+    (ModelParams.of(1000, [2, 3], [0.1, 0.005]), 1),
+    (ModelParams.of(1000, [4], [2e-5]), 1),
+    (ModelParams.of(40, [2, 3], [0.3, 0.02]), 20),
+    (ModelParams.of(5, [2, 3], [0.5, 0.5]), 1310),
+    (ModelParams.of(100, [2, 20], [0.05, 1e-18]), 1),
+    (ModelParams.of(100, [2, 20], [0.05, 1e-18]), 3),
+    (ModelParams.of(30, [2, 3], [1.0, 0.0]), 4),
+]
+
+
+def draws(params, trials, seed):
+    h = sample_hypergraph(params, seed)
+    return sample_adjacency_stack(params, seed, trials), h.classes, adjacency(h)
+
+
+@pytest.mark.parametrize("piece", [1, 7, 64])
+def test_pieces_leave_draws_unchanged(monkeypatch, piece):
+    # the walk, the unranking, the rows and the pair counts go piece by
+    # piece; no piece size may change a drawn value
+    for seed, (params, trials) in enumerate(PIECE_MODELS):
+        if piece < 64 and params.n == 1000:
+            continue  # 10^5 and more pieces per draw: covered at 64
+        want = draws(params, trials, seed)
+        monkeypatch.setattr(hypergraph_module, "_PIECE", piece)
+        got = draws(params, trials, seed)
+        monkeypatch.undo()
+        assert np.array_equal(got[0], want[0]), (params, trials)
+        assert len(got[1]) == len(want[1])
+        for a, b in zip(got[1], want[1]):
+            assert a.dtype == b.dtype and np.array_equal(a, b), params
+        assert np.array_equal(got[2], want[2]), params
+
+
+def test_sample_adjacency_stack_bounds_scratch():
+    # each piece goes straight into the counts: beyond the counts and the
+    # symmetric result (8 n^2 bytes each) the draw keeps a few MiB, where
+    # whole-class ranks, rows and bincount buffers took 41.9 MiB
+    params = ModelParams.of(1000, [2, 3], [0.1, 0.005])
+    gc.collect()
+    peak = traced_peak_mib(sample_adjacency_stack, params, 5)
+    assert peak <= 2 * 8 * 1000**2 / 2**20 + 4.0, peak
 
 
 def test_center_scale_catalog():
