@@ -500,7 +500,6 @@ def run_montecarlo(cfg: dict, command: str = "montecarlo") -> dict:
     seed = cfg["seed"]
     trials = cfg["trials"] if cfg["trials"] is not None else 1
     bins = cfg["bins"]
-    workers = cfg["workers"]
 
     engine = "gaussian-surrogate" if command == "gaussian" else cfg["engine"]
     notes: list[str] = []
@@ -521,8 +520,10 @@ def run_montecarlo(cfg: dict, command: str = "montecarlo") -> dict:
     def batch_eigs(b: int) -> list[np.ndarray]:
         return [eigenvalues(H) for H in draw(b)]
 
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+    # more threads than CPUs gain nothing, and each holds a dense batch
+    threads = min(cfg["workers"], os.cpu_count() or 1)
+    if threads > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             per_batch = list(pool.map(batch_eigs, batches))
     else:
         per_batch = [batch_eigs(b) for b in batches]

@@ -104,11 +104,11 @@ class Hypergraph:
 # Populations below this are walked rank by rank; rank sums then stay in int64.
 _RANK_LIMIT = 2**62
 _INT64_MAX = 2**63 - 1
-# gap draws per chunk of the rank walk; a chunk's size decides the stream
-_MAX_CHUNK = 2**20
-# ranks or edge rows per piece; bounds the sampler's and adjacency's scratch
+# ranks or edge rows per piece; bounds the scratch of the sampler, adjacency
+# and the writer.  A rank walk capped at this size stops in the piece that
+# leaves its range, so the size decides the stream after a capped class.
 _PIECE = 2**16
-# unranking-table cells that any single draw may use (see _draw_classes)
+# unranking-table cells that any draw may use (see _draw_classes)
 _TABLE_CELLS = 2**20
 
 
@@ -151,31 +151,28 @@ def _bernoulli_ranks(rng: np.random.Generator, pop: int, p: float):
 
     Requires pop < 2^62 and 0 < p <= 1.  Walks the ranks with Geometric(p)
     gaps (Batagelj & Brandes, Phys. Rev. E 71, 2005); at p = 1 every gap is 1.
-    Each chunk of gaps (its size set by pop and p) is drawn piece by piece,
-    which numpy's gap-by-gap draws make the same stream; the rest of the
-    chunk that leaves the range is drawn and dropped.
+    Each piece draws min(mean + 6 sd + 16, ``_PIECE``) gaps, its size set by
+    pop and p; the walk ends in the piece that leaves the range, and the
+    gaps drawn past the cut are dropped.
     """
     mean = pop * p
-    chunk = int(min(mean + 6.0 * math.sqrt(mean * (1.0 - p)) + 16.0, _MAX_CHUNK))
+    size = int(min(mean + 6.0 * math.sqrt(mean * (1.0 - p)) + 16.0, _PIECE))
     last = -1
     while True:
-        for start in range(0, chunk, _PIECE):
-            pos = rng.geometric(p, size=min(_PIECE, chunk - start))
-            # numpy saturates at INT64_MAX for tiny p.  A gap of pop + 1 already
-            # leaves the range from rank -1, so clipping there keeps the law (at
-            # pop, an empty class would be impossible) and keeps every prefix
-            # sum up to the first one >= pop exact in int64; later ones may wrap.
-            np.minimum(pos, pop + 1, out=pos)
-            pos[0] += last
-            np.cumsum(pos, out=pos)
-            past = np.flatnonzero(pos >= pop)
-            if past.size:
-                yield pos[: past[0]]
-                for rest in range(start + _PIECE, chunk, _PIECE):
-                    rng.geometric(p, size=min(_PIECE, chunk - rest))
-                return
-            yield pos
-            last = int(pos[-1])
+        pos = rng.geometric(p, size=size)
+        # numpy saturates at INT64_MAX for tiny p.  A gap of pop + 1 already
+        # leaves the range from rank -1, so clipping there keeps the law (at
+        # pop, an empty class would be impossible) and keeps every prefix
+        # sum up to the first one >= pop exact in int64; later ones may wrap.
+        np.minimum(pos, pop + 1, out=pos)
+        pos[0] += last
+        np.cumsum(pos, out=pos)
+        past = np.flatnonzero(pos >= pop)
+        if past.size:
+            yield pos[: past[0]]
+            return
+        yield pos
+        last = int(pos[-1])
 
 
 def _poisson_subsets(rng: np.random.Generator, n: int, r: int, p: float) -> np.ndarray:
@@ -220,19 +217,18 @@ def _draw_classes(rng: np.random.Generator, params: ModelParams, trials: int):
     rho // C(n, r) and is the subset of colex rank rho % C(n, r).  Rows come
     by trial, each trial's in ascending rank order, ``_PIECE`` at most.
 
-    A single draw (trials = 1) with p < 1 merges Poisson subsets instead
-    when C(n, r) reaches 2^62, or when the walk's (r + 1) x n unranking
-    table would exceed both _TABLE_CELLS and the draw's expected
-    r * C(n, r) * p vertex ids: the table then never outgrows the draw.
-    Several trials whose ranks reach 2^62 take one Poisson draw each, in
-    trial order.  A Poisson draw is one piece.
+    A class with p < 1 takes one Poisson draw per trial instead, in trial
+    order, when trials * C(n, r) reaches 2^62, or when the walk's (r + 1) x n
+    unranking table would exceed both _TABLE_CELLS and the expected
+    r * trials * C(n, r) * p vertex ids of all its trials: the table then
+    never outgrows the draw.  A Poisson draw is one piece.
     """
     n = params.n
     for i, (r, p) in enumerate(params.classes):
         if p == 0.0:
             continue
         if trials * (pop := math.comb(n, r)) < _RANK_LIMIT and (
-            trials > 1 or p == 1.0 or (r + 1) * n <= max(_TABLE_CELLS, pop * p * r)
+            p == 1.0 or (r + 1) * n <= max(_TABLE_CELLS, trials * pop * p * r)
         ):
             table = _binomial_table(n, r)
             for ranks in _bernoulli_ranks(rng, trials * pop, p):
@@ -346,10 +342,6 @@ def center_scale(A: np.ndarray, params: ModelParams) -> np.ndarray:
 # r_i strictly ascending 1-based vertex indices.  UTF-8, LF line endings.
 
 
-# edge rows formatted per block; bounds the writer's scratch memory
-_WRITE_BLOCK_ROWS = 65_536
-
-
 def _format_rows(rows: np.ndarray, width: int) -> np.ndarray:
     """The text lines of 0-based edge rows, as a uint8 array: each value + 1 in
     decimal, then a space, or a newline after a row's last value.
@@ -379,8 +371,8 @@ def write_hypergraph_text(h: Hypergraph, path) -> None:
         for edges in h.classes:
             m, r = edges.shape
             fh.write(b"%d %d\n" % (r, m))
-            for start in range(0, m, _WRITE_BLOCK_ROWS):
-                fh.write(_format_rows(edges[start : start + _WRITE_BLOCK_ROWS], width))
+            for start in range(0, m, _PIECE):
+                fh.write(_format_rows(edges[start : start + _PIECE], width))
 
 
 # bytes per split block; one block's tokens are the only per-token Python

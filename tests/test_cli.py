@@ -1,5 +1,6 @@
 """Command-line front end: config resolution, reports, file formats, exit codes."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -15,6 +16,7 @@ import hyperspectra.cli as cli_module
 import hyperspectra.hypergraph as hypergraph_module
 from hyperspectra import (
     ModelParams,
+    SemicircleLaw,
     adjacency,
     center_scale,
     covariance_profile,
@@ -25,6 +27,7 @@ from hyperspectra import (
 )
 from hyperspectra.cli import (
     ConfigError,
+    _svg_histogram,
     dumps,
     main,
     resolve_config,
@@ -73,6 +76,27 @@ def test_dumps_17_digit_roundtrip():
     text = dumps({"vals": vals})
     back = json.loads(text)
     assert back["vals"] == vals
+
+
+def test_dumps_empty_and_unserializable():
+    assert dumps({}) == "{}\n"
+    assert dumps({"a": {}, "b": []}) == '{\n  "a": {},\n  "b": []\n}\n'
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        dumps({"x": object()})
+
+
+def test_svg_histogram_skips_empty_bins():
+    # the background and one bar per non-empty bin, each at its bin's left edge
+    edges = np.linspace(-2.0, 2.0, 6)
+    masses = np.array([0.2, 0.0, 0.5, 0.0, 0.3])
+    for law in (None, SemicircleLaw(1.0)):
+        svg = _svg_histogram(edges, masses, law)
+        bars = [line for line in svg.splitlines() if 'fill="#7aa6c2"' in line]
+        assert svg.count("<rect ") == 1 + len(bars) == 4
+        xs = [float(bar.split('x="')[1].split('"')[0]) for bar in bars]
+        # bins 0, 2 and 4 of [-2, 2] (the law's radius is 2) on a 640-wide plot
+        assert xs == pytest.approx([48.0, 265.6, 483.2])
+        assert svg.count("<polyline ") == (law is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +453,25 @@ def test_montecarlo_deterministic_across_workers():
             r1 = run_montecarlo(cfg_of(**base, workers=1), command)
             r3 = run_montecarlo(cfg_of(**base, workers=3), command)
             assert dumps(r1) == dumps(r3)
+
+
+def test_workers_capped_at_cpu_count(monkeypatch):
+    # a worker count far above the CPUs starts at most os.cpu_count()
+    # threads (none beyond the caller's on one CPU) and reports the same
+    started = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    base = dict(n=40, r=[2, 3], p=[0.3, 0.02], trials=50, seed=42, bins=40)
+    want = dumps(run_montecarlo(cfg_of(**base, workers=1)))
+    assert started == []
+    assert dumps(run_montecarlo(cfg_of(**base, workers=10**6))) == want
+    cpus = os.cpu_count() or 1
+    assert started == ([cpus] if cpus > 1 else [])
 
 
 def test_montecarlo_deterministic_across_reruns():

@@ -236,40 +236,50 @@ def test_bernoulli_ranks_law():
             assert observed[0] > 0, (pop, p)
 
 
-class CappedRng:
-    """default_rng(seed) that allows ``gaps`` geometric draws in all, so a
-    walk that never reaches the end of its range fails instead of running on."""
+class RecordingRng:
+    """default_rng(seed) that records the size of each geometric draw."""
 
-    def __init__(self, seed, gaps):
+    def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
-        self.gaps = gaps
+        self.sizes = []
 
     def geometric(self, p, size):
-        self.gaps -= size
-        assert self.gaps >= 0, "walk overran its chunks"
+        self.sizes.append(size)
         return self.rng.geometric(p, size=size)
 
 
 def test_bernoulli_ranks_chunk_continuation(monkeypatch):
-    # Small chunks only change how many surplus gaps are drawn past the cut,
-    # and pieces never change it: the K kept ranks plus the gap that leaves
-    # the range take exactly ceil((K + 1) / chunk) whole chunks of gaps, and
-    # the ranks equal the one-chunk walk's.
+    # The piece size only changes how many surplus gaps are drawn past the
+    # cut: every draw is one whole piece of min(mean + 6 sd + 16, _PIECE)
+    # gaps, the K kept ranks plus the gap that leaves the range take exactly
+    # ceil((K + 1) / size) of them, and the ranks equal the default walk's.
     cases = [
         (100, 1.0), (1000, 0.3), (5000, 0.01), (50, 0.5),
         (10**6, 1e-4), (7, 1e-300), (2**40, 1e-9),
     ]
     for pop, p in cases:
+        mean = pop * p
+        fill = mean + 6.0 * math.sqrt(mean * (1.0 - p)) + 16.0
         for seed in range(5):
             want = walk(np.random.default_rng(seed), pop, p)
-            for chunk, piece in itertools.product((1, 2, 7), (1, 3, 2**16)):
-                monkeypatch.setattr(hypergraph_module, "_MAX_CHUNK", chunk)
+            for piece in (1, 3, 7, 2**16):
                 monkeypatch.setattr(hypergraph_module, "_PIECE", piece)
-                rng = CappedRng(seed, chunk * -(-(want.size + 1) // chunk))
+                rng = RecordingRng(seed)
                 got = walk(rng, pop, p)
                 monkeypatch.undo()
-                assert rng.gaps == 0, (pop, p, seed, chunk, piece)
-                np.testing.assert_array_equal(got, want, err_msg=f"{pop, p, seed, chunk, piece}")
+                size = int(min(fill, piece))
+                pieces = -(-(want.size + 1) // size)
+                assert rng.sizes == [size] * pieces, (pop, p, seed, piece)
+                np.testing.assert_array_equal(got, want, err_msg=f"{pop, p, seed, piece}")
+
+
+def test_capped_class_stream_pinned():
+    # class 0 expects about 150k edges, so its walk draws whole pieces of
+    # _PIECE gaps and stops in the piece that leaves its range; class 1
+    # starts from that generator state.  Pinned so that stream drift shows.
+    h = sample_hypergraph(ModelParams.of(1000, [2, 3], [0.3, 0.001]), seed=1)
+    assert h.edge_counts == (150647, 166618)
+    assert h.classes[1][:3].tolist() == [[2, 7, 17], [0, 10, 19], [0, 24, 33]]
 
 
 def test_sample_joint_law():
@@ -514,25 +524,31 @@ PIECE_MODELS = [
 
 def draws(params, trials, seed):
     h = sample_hypergraph(params, seed)
-    return sample_adjacency_stack(params, seed, trials), h.classes, adjacency(h)
+    return drawn_trials(seed, params, trials)[0], sample_adjacency_stack(params, seed, trials), h
 
 
 @pytest.mark.parametrize("piece", [1, 7, 64])
 def test_pieces_leave_draws_unchanged(monkeypatch, piece):
     # the walk, the unranking, the rows and the pair counts go piece by
-    # piece; no piece size may change a drawn value
+    # piece.  The piece size may move the stream after a capped class, but
+    # never a draw's first class nor a model with one drawn class, and at
+    # every size the stack and the hypergraph routes give the same counts.
     for seed, (params, trials) in enumerate(PIECE_MODELS):
         if piece < 64 and params.n == 1000:
             continue  # 10^5 and more pieces per draw: covered at 64
         want = draws(params, trials, seed)
         monkeypatch.setattr(hypergraph_module, "_PIECE", piece)
         got = draws(params, trials, seed)
+        single = sample_adjacency_stack(params, seed)
         monkeypatch.undo()
-        assert np.array_equal(got[0], want[0]), (params, trials)
-        assert len(got[1]) == len(want[1])
-        for a, b in zip(got[1], want[1]):
-            assert a.dtype == b.dtype and np.array_equal(a, b), params
-        assert np.array_equal(got[2], want[2]), params
+        assert np.array_equal(single[0], adjacency(got[2])), params
+        for a, b in zip(got[0], want[0]):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (params, trials)
+        if sum(p > 0.0 for _, p in params.classes) == 1:
+            assert np.array_equal(got[1], want[1]), (params, trials)
+            assert len(got[2].classes) == len(want[2].classes)
+            for a, b in zip(got[2].classes, want[2].classes):
+                assert a.dtype == b.dtype and np.array_equal(a, b), params
 
 
 def test_sample_adjacency_stack_bounds_scratch():
@@ -610,12 +626,12 @@ def test_text_format_bytes(tmp_path, monkeypatch):
     path = tmp_path / "h.txt"
     write_hypergraph_text(next(writer_cases()), path)
     assert path.read_bytes() == b"5 2\n2 2\n1 5\n2 3\n3 1\n1 2 4\n"
-    for block in (None, 1, 2, 3):
-        if block is not None:
-            monkeypatch.setattr(hypergraph_module, "_WRITE_BLOCK_ROWS", block)
+    for piece in (None, 1, 2, 3):
+        if piece is not None:
+            monkeypatch.setattr(hypergraph_module, "_PIECE", piece)
         for h in writer_cases():
             write_hypergraph_text(h, path)
-            assert path.read_bytes() == reference_text(h), (block, h.n)
+            assert path.read_bytes() == reference_text(h), (piece, h.n)
 
 
 def test_text_format_roundtrip(tmp_path):
@@ -631,11 +647,11 @@ def test_text_format_roundtrip(tmp_path):
 
 
 def test_text_writer_bounds_memory(tmp_path, monkeypatch):
-    # at a fixed block size, the writer's scratch must not grow with the edge count
+    # at a fixed piece size, the writer's scratch must not grow with the edge count
     small = sample_hypergraph(ModelParams.of(100, [3], [0.125]), seed=1)
     large = sample_hypergraph(ModelParams.of(100, [3], [0.5]), seed=1)
     assert large.edge_counts[0] > 3.5 * small.edge_counts[0]
-    monkeypatch.setattr(hypergraph_module, "_WRITE_BLOCK_ROWS", 1024)
+    monkeypatch.setattr(hypergraph_module, "_PIECE", 1024)
     path = tmp_path / "h.txt"
     peaks = [traced_peak_mib(write_hypergraph_text, h, path) for h in (small, large)]
     assert peaks[1] <= 1.1 * peaks[0], peaks

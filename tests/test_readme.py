@@ -1,10 +1,11 @@
-"""README's Configuration and Exit codes sections against the CLI module."""
+"""README's Configuration, Exit codes and Library sections against the code."""
 
 import json
 import re
 from pathlib import Path
 
-from hyperspectra import cli
+import hyperspectra
+from hyperspectra import cli, errors, gaussian, hypergraph, oracle, spectral, theory
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -38,3 +39,16 @@ def test_readme_exit_codes_match_cli_docstring():
     doc = re.search(r"^Exit codes: (.*?)\.\n", cli.__doc__, re.M | re.S)[1]
     declared = [int(part.split()[0]) for part in doc.split(";")]
     assert documented == declared == [0, 1, 2, 3, 4, 5]
+
+
+def test_readme_library_names_every_public_name():
+    library = re.search(r"^## Library\n(.*?)(?=^## )", README, re.M | re.S)[1]
+    missing = [name for name in hyperspectra.__all__ if not re.search(rf"`{name}[`(]", library)]
+    assert missing == []
+
+
+def test_readme_private_names_exist():
+    modules = (hyperspectra, cli, errors, gaussian, hypergraph, oracle, spectral, theory)
+    names = set(re.findall(r"`(_\w+)[`(]", README))
+    assert names
+    assert [name for name in sorted(names) if not any(hasattr(m, name) for m in modules)] == []
