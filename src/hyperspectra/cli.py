@@ -83,6 +83,7 @@ SCHEMA_VERSION = 1
 
 _ENGINES = ("auto", "bernoulli", "gaussian-surrogate")
 _EMITS = ("csv", "svg", "json")
+_FORMATS = ("json", "csv")
 # histogram bins, refused above this before anything is allocated
 _MAX_BINS = 2**16
 
@@ -140,32 +141,26 @@ def _write_json(o: Any, out: list[str], indent: int) -> None:
     if token is not None:
         out.append(token)
         return
-    pad = "  " * indent
     if isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, val) in enumerate(o.items()):
-            out.append("  " * (indent + 1) + json.dumps(str(key)) + ": ")
-            _write_json(val, out, indent + 1)
-            out.append(",\n" if i < len(o) - 1 else "\n")
-        out.append(pad + "}")
-        return
-    if isinstance(o, (list, tuple, np.ndarray)):
-        items = list(o)
-        tokens = [_scalar_token(v) for v in items]
+        items, brackets = [(json.dumps(str(key)) + ": ", val) for key, val in o.items()], "{}"
+    elif isinstance(o, (list, tuple, np.ndarray)):
+        tokens = [_scalar_token(v) for v in o]
         if all(t is not None for t in tokens):
             out.append("[" + ", ".join(tokens) + "]")
             return
-        out.append("[\n")
-        for i, val in enumerate(items):
-            out.append("  " * (indent + 1))
-            _write_json(val, out, indent + 1)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "]")
+        items, brackets = [("", val) for val in o], "[]"
+    else:
+        raise TypeError(f"cannot serialize {type(o).__name__}")
+    if not items:
+        out.append(brackets)
         return
-    raise TypeError(f"cannot serialize {type(o).__name__}")
+    pad = "  " * indent
+    out.append(brackets[0] + "\n")
+    for i, (prefix, val) in enumerate(items):
+        out.append(pad + "  " + prefix)
+        _write_json(val, out, indent + 1)
+        out.append(",\n" if i < len(items) - 1 else "\n")
+    out.append(pad + brackets[1])
 
 
 def dumps(report: dict) -> str:
@@ -253,8 +248,8 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError(f"emit must be a subset of {_EMITS}, got {emit!r}")
     if cfg["out_dir"] is not None and not isinstance(cfg["out_dir"], str):
         raise ConfigError(f"out_dir must be a string, got {cfg['out_dir']!r}")
-    if cfg["format"] not in ("json", "csv"):
-        raise ConfigError(f"format must be json or csv, got {cfg['format']!r}")
+    if cfg["format"] not in _FORMATS:
+        raise ConfigError(f"format must be {' or '.join(_FORMATS)}, got {cfg['format']!r}")
     if not isinstance(cfg["quiet"], bool):
         raise ConfigError(f"quiet must be a boolean, got {cfg['quiet']!r}")
 
@@ -355,11 +350,15 @@ def run_analyze(cfg: dict) -> dict:
 # sample and spectrum
 
 
-def _write_text(out_dir: str, name: str, text: str) -> str:
-    """Write ``text`` to ``out_dir/name`` (LF newlines), creating the
-    directory first; returns the path."""
+def _out_path(out_dir: str, name: str) -> str:
+    """The path ``out_dir/name``, after creating the directory."""
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
+    return os.path.join(out_dir, name)
+
+
+def _write_text(out_dir: str, name: str, text: str) -> str:
+    """Write ``text`` to ``out_dir/name`` (LF newlines); returns the path."""
+    path = _out_path(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return path
@@ -368,9 +367,7 @@ def _write_text(out_dir: str, name: str, text: str) -> str:
 def run_sample(cfg: dict) -> str:
     params = _params_from_config(cfg)
     h = sample_hypergraph(params, cfg["seed"], cfg["budget"]["max_edges"])
-    out_dir = cfg["out_dir"] or "."
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "hypergraph.txt")
+    path = _out_path(cfg["out_dir"] or ".", "hypergraph.txt")
     write_hypergraph_text(h, path)
     return path
 
@@ -379,7 +376,7 @@ def _eigs_csv(eigs: np.ndarray) -> str:
     return "lambda\n" + "".join(_fmt_float(float(v)) + "\n" for v in eigs)
 
 
-def run_spectrum(cfg: dict, hypergraph_path: str) -> tuple[str, np.ndarray]:
+def run_spectrum(cfg: dict, hypergraph_path: str) -> str:
     params = _params_from_config(cfg)
     h = read_hypergraph_text(hypergraph_path)
     if h.n != params.n:
@@ -390,8 +387,7 @@ def run_spectrum(cfg: dict, hypergraph_path: str) -> tuple[str, np.ndarray]:
             f"file class sizes {file_sizes} do not match config r = {params.r}"
         )
     eigs = eigenvalues(center_scale(adjacency(h), params))
-    path = _write_text(cfg["out_dir"] or ".", "eigenvalues.csv", _eigs_csv(eigs))
-    return path, eigs
+    return _write_text(cfg["out_dir"] or ".", "eigenvalues.csv", _eigs_csv(eigs))
 
 
 # ---------------------------------------------------------------------------
@@ -560,17 +556,14 @@ def run_montecarlo(cfg: dict, command: str = "montecarlo") -> dict:
         "notes": notes,
     }
 
+    # the JSON file is main's report step
     out_dir = cfg["out_dir"]
     if out_dir is not None:
-        emit = set(cfg["emit"])
-        stem = report["command"]
-        if "json" in emit:
-            _write_text(out_dir, f"{stem}.json", dumps(report))
-        if "csv" in emit:
+        if "csv" in cfg["emit"]:
             for t, eigs in enumerate(trial_eigs):
                 _write_text(out_dir, f"eigenvalues_trial{t:04d}.csv", _eigs_csv(eigs))
-        if "svg" in emit:
-            _write_text(out_dir, f"{stem}.svg", _svg_histogram(edges, masses, law))
+        if "svg" in cfg["emit"]:
+            _write_text(out_dir, f"{command}.svg", _svg_histogram(edges, masses, law))
     return report
 
 
@@ -627,20 +620,12 @@ def run_verify(cfg: dict) -> dict:
     check("oracle_m2_identity", exact.moments[1], (n - 1) / n, 1e-12)
 
     covs = exact_covariances(params)
-    shared_closed = profile.gamma_n * stats.sigma_sq
-    disjoint_closed = profile.rho_n * stats.sigma_sq
-    check(
-        "oracle_cov_shared_vertex",
-        covs.shared_vertex,
-        shared_closed,
-        1e-12 * max(1.0, abs(shared_closed)),
-    )
-    check(
-        "oracle_cov_disjoint",
-        covs.disjoint,
-        disjoint_closed,
-        1e-12 * max(1.0, abs(disjoint_closed)),
-    )
+    for name, got, weight in (
+        ("oracle_cov_shared_vertex", covs.shared_vertex, profile.gamma_n),
+        ("oracle_cov_disjoint", covs.disjoint, profile.rho_n),
+    ):
+        closed = weight * stats.sigma_sq
+        check(name, got, closed, 1e-12 * max(1.0, abs(closed)))
 
     for name, k, sample_vals in (
         ("montecarlo_m2_vs_oracle", 2, m2s),
@@ -692,7 +677,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", metavar="PATH", help="JSON configuration file")
         sp.add_argument("--seed", type=int, help="64-bit master seed")
         sp.add_argument("--out", metavar="DIR", dest="out_dir", help="output directory")
-        sp.add_argument("--format", choices=["json", "csv"])
+        sp.add_argument("--format", choices=_FORMATS)
         sp.add_argument("--quiet", action="store_true", default=None)
         sp.add_argument("--n", type=int, help="number of vertices")
         sp.add_argument("--r", type=ints, help="class sizes, e.g. 2,3")
@@ -759,61 +744,45 @@ def _report_csv(report: dict) -> str:
             for i, val in enumerate(obj):
                 walk(f"{prefix}[{i}]", val)
         else:
-            token = _scalar_token(obj)
-            rows.append(f"{prefix},{token}")
+            rows.append(f"{prefix},{_scalar_token(obj)}")
 
     walk("", report)
     return "\n".join(rows) + "\n"
 
 
-def _emit_report(report: dict, cfg: dict) -> None:
-    if cfg["format"] == "csv":
-        sys.stdout.write(_report_csv(report))
-    else:
-        sys.stdout.write(dumps(report))
-
-
-def _note(cfg: dict, message: str) -> None:
-    if not cfg["quiet"]:
-        print(message, file=sys.stderr)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    command = args.command
     try:
         file_values = _load_config_file(args.config) if args.config else None
         cfg = resolve_config(file_values, _overrides_from_args(args))
 
-        if args.command == "analyze":
+        if command in ("sample", "spectrum"):
+            print(run_sample(cfg) if command == "sample" else run_spectrum(cfg, args.hypergraph))
+            return 0
+        if command == "analyze":
             report = run_analyze(cfg)
-            _emit_report(report, cfg)
-            if cfg["out_dir"] is not None:
-                _write_text(cfg["out_dir"], "analyze.json", dumps(report))
-        elif args.command == "sample":
-            path = run_sample(cfg)
-            print(path)
-        elif args.command == "spectrum":
-            path, _ = run_spectrum(cfg, args.hypergraph)
-            print(path)
-        elif args.command in ("montecarlo", "gaussian"):
-            report = run_montecarlo(cfg, args.command)
-            _emit_report(report, cfg)
-        elif args.command == "verify":
+        elif command == "verify":
             report = run_verify(cfg)
-            _emit_report(report, cfg)
-            # before the exit-1 return, so a failed verify leaves its report
-            if cfg["out_dir"] is not None:
-                _write_text(cfg["out_dir"], "verify.json", dumps(report))
+        else:
+            report = run_montecarlo(cfg, command)
+        sys.stdout.write(_report_csv(report) if cfg["format"] == "csv" else dumps(report))
+        # montecarlo and gaussian write the file only when emit asks for it;
+        # verify writes it before the exit-1 return, so a failed run leaves it
+        out_dir = cfg["out_dir"]
+        if out_dir is not None and (command in ("analyze", "verify") or "json" in cfg["emit"]):
+            _write_text(out_dir, f"{command}.json", dumps(report))
+        if command != "verify":
+            return 0
+        if not cfg["quiet"]:
             for c in report["checks"]:
                 status = "ok  " if c["ok"] else "FAIL"
-                _note(
-                    cfg,
+                print(
                     f"{status} {c['name']}: got {c['got']:.12g}, "
                     f"expected {c['expected']:.12g} (tol {c['tol']:.3g})",
+                    file=sys.stderr,
                 )
-            if not report["passed"]:
-                return 1
-        return 0
+        return 0 if report["passed"] else 1
     except DegenerateModelError as exc:
         print(f"error: degenerate model: {exc}", file=sys.stderr)
         return 3

@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+from .hypergraph import _check_addressable
 from .theory import CovarianceProfile
 
 __all__ = ["sample_surrogate"]
@@ -32,7 +33,8 @@ def sample_surrogate(n: int, profile: CovarianceProfile, seed: int, trials: int 
     (trials, n, n) float64 stack: each symmetric, zero diagonal.
 
     Raises ValueError unless 0 <= rho, gamma <= 1 and gamma - rho and
-    theta^2 are nonnegative (within rounding).  Draws W (trials x n x n),
+    theta^2 are nonnegative (within rounding), and MemoryError when the
+    stack needs more than sys.maxsize bytes.  Draws W (trials x n x n),
     then g (trials x n), then g0 (trials) from ``default_rng(seed)``; the
     upper triangle of W serves both (u, v) and (v, u).  Identical
     (n, profile, seed, trials) give a bit-identical stack.
@@ -51,6 +53,7 @@ def sample_surrogate(n: int, profile: CovarianceProfile, seed: int, trials: int 
     alpha = math.sqrt(max(alpha_sq, 0.0))
     beta = math.sqrt(rho)
 
+    _check_addressable((trials, n, n))
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.standard_normal((trials, n, n)), 1)
     g = rng.standard_normal((trials, n, 1))

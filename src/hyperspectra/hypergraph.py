@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -239,6 +240,13 @@ def _draw_classes(rng: np.random.Generator, params: ModelParams, trials: int):
                 yield i, _poisson_subsets(rng, n, r, p), t
 
 
+def _check_addressable(shape: tuple[int, ...]) -> None:
+    """Raise MemoryError when an array of 8-byte entries of ``shape`` needs
+    more than sys.maxsize bytes, which numpy cannot address."""
+    if (nbytes := 8 * math.prod(shape)) > sys.maxsize:
+        raise MemoryError(f"a {shape} array of 8-byte entries needs {nbytes} bytes")
+
+
 def _generator(params: ModelParams, seed: int, max_edges: int) -> np.random.Generator:
     """A draw's generator, after the refusals that come before anything is drawn."""
     check_budget(params, max_edges)
@@ -247,15 +255,21 @@ def _generator(params: ModelParams, seed: int, max_edges: int) -> np.random.Gene
     return np.random.default_rng(seed)
 
 
-def _add_pairs(counts: np.ndarray, rows: np.ndarray, n: int, trial) -> None:
-    """Add each row's pairs u < v to ``counts`` at flat key trial n^2 + u n + v
-    (``trial``: one int or each row's), one column pair of keys at a time."""
-    for a, b in zip(*np.triu_indices(rows.shape[1], 1)):
-        keys = rows[:, a].astype(np.int64)
-        keys *= n
-        keys += rows[:, b]
-        keys += trial * (n * n)
-        np.add.at(counts.reshape(-1), keys, 1)
+def _pair_counts(n: int, trials: int, pieces) -> np.ndarray:
+    """The symmetric int64 pair counts of ``trials`` edge sets, a (trials, n, n)
+    stack with zero diagonal.  Each (rows, trial) piece adds its rows' pairs
+    u < v at flat key trial n^2 + u n + v (``trial``: one int or each row's),
+    one column pair of keys at a time; the transpose is added last."""
+    _check_addressable((trials, n, n))
+    counts = np.zeros((trials, n, n), dtype=np.int64)
+    for rows, trial in pieces:
+        for a, b in zip(*np.triu_indices(rows.shape[1], 1)):
+            keys = rows[:, a].astype(np.int64)
+            keys *= n
+            keys += rows[:, b]
+            keys += trial * (n * n)
+            np.add.at(counts.reshape(-1), keys, 1)
+    return counts + counts.transpose(0, 2, 1)
 
 
 def sample_hypergraph(
@@ -291,15 +305,13 @@ def sample_adjacency_stack(
 
     One trial consumes the stream exactly as ``sample_hypergraph`` does, its
     Poisson path included.  The budget refusal is that of
-    ``sample_hypergraph``, per trial, and comes before anything is drawn.
-    Scratch beyond the counts and the result is one piece.
+    ``sample_hypergraph``, per trial; it and the MemoryError of a stack past
+    sys.maxsize bytes come before anything is drawn.  Scratch beyond the
+    counts and the result is one piece.
     """
     rng = _generator(params, seed, max_edges)
-    n = params.n
-    counts = np.zeros((trials, n, n), dtype=np.int64)
-    for _, rows, trial in _draw_classes(rng, params, trials):
-        _add_pairs(counts, rows, n, trial)
-    return counts + counts.transpose(0, 2, 1)
+    pieces = ((rows, trial) for _, rows, trial in _draw_classes(rng, params, trials))
+    return _pair_counts(params.n, trials, pieces)
 
 
 def adjacency(h: Hypergraph) -> np.ndarray:
@@ -309,11 +321,8 @@ def adjacency(h: Hypergraph) -> np.ndarray:
     classes.  Cost is O(sum_i m_i r_i^2) plus two dense n x n buffers and
     the pair keys of ``_PIECE`` rows.
     """
-    counts = np.zeros((h.n, h.n), dtype=np.int64)
-    for edges in h.classes:
-        for start in range(0, edges.shape[0], _PIECE):
-            _add_pairs(counts, edges[start : start + _PIECE], h.n, 0)
-    return counts + counts.T
+    pieces = ((e[at : at + _PIECE], 0) for e in h.classes for at in range(0, len(e), _PIECE))
+    return _pair_counts(h.n, 1, pieces)[0]
 
 
 def center_scale(A: np.ndarray, params: ModelParams) -> np.ndarray:

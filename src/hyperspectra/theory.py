@@ -317,7 +317,10 @@ def covariance_profile(params: ModelParams) -> CovarianceProfile:
     rho_n   = sum_i C(n-4, r_i-4) sigma_i^2 / sum_i C(n-2, r_i-2) sigma_i^2
 
     Classes with r_i < 3 (resp. < 4) contribute absent terms to the
-    numerators.  0 <= rho_n <= gamma_n < 1 always.
+    numerators.  0 <= rho_n <= gamma_n <= 1 (gamma_n = 1 when every r_i = n).
+    One class gives theta_sq = (n - r)(n - r - 1) / ((n - 2)(n - 3)) and a
+    mixture the weighted mean, so theta_sq >= 0 for n >= 4; at n = 3, where no
+    entries are vertex-disjoint, r = 3 gives gamma_n = 1 and theta_sq = -1.
     """
     stats = derive_stats(params)
     log_gamma_num = _logsumexp(_log_class_terms(params, 3, stats.sigma_i_sq))
@@ -563,8 +566,8 @@ def chatterjee_bound(params: ModelParams, z: complex, eps: float) -> ChatterjeeB
     log_trunc3 = _logsumexp(_log_class_terms(params, 0, trunc3_terms))
 
     log_tails = _logsumexp((bern.log_total, gaus.log_total))
-    log_term1 = math.log(2.0) + log_lambda2 + log_tails if log_tails != _NEG_INF else _NEG_INF
-    log_term2 = log_lambda3 + log_trunc3 - math.log(3.0) if log_trunc3 != _NEG_INF else _NEG_INF
+    log_term1 = math.log(2.0) + log_lambda2 + log_tails
+    log_term2 = log_lambda3 + log_trunc3 - math.log(3.0)
     log_total = _logsumexp((log_term1, log_term2))
 
     lambda2 = _exp(log_lambda2)

@@ -341,7 +341,7 @@ def test_dense_allocation_failure_exit(tmp_path, monkeypatch, capsys):
     hpath = tmp_path / "h.txt"
     hpath.write_text("4 1\n2 0\n")
     monkeypatch.setattr(cli_module, "adjacency", no_memory)
-    monkeypatch.setattr(hypergraph_module, "_add_pairs", no_memory)
+    monkeypatch.setattr(hypergraph_module, "_pair_counts", no_memory)
     for argv in (
         ["spectrum", str(hpath), "--n", "4", "--r", "2", "--p", "0.5", "--out", str(tmp_path)],
         [
@@ -352,6 +352,30 @@ def test_dense_allocation_failure_exit(tmp_path, monkeypatch, capsys):
     ):
         assert main(argv) == 4
         assert "error: out of memory: Unable to allocate dense matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, shape",
+    [
+        # budget fits, so engine auto samples exactly
+        (["montecarlo", "--n", "2147483648", "--r", "2", "--p", "1e-13"], 2147483648),
+        (["montecarlo", "--n", "1100000000", "--r", "2", "--p", "1e-13"], 1100000000),
+        (["gaussian", "--n", "3037000500", "--r", "2", "--p", "0.5"], 3037000500),
+        (["spectrum", "{file}", "--n", "1100000000", "--r", "2", "--p", "1e-13"], 1100000000),
+    ],
+    ids=["montecarlo-2^31", "montecarlo-1.1e9", "gaussian", "spectrum"],
+)
+def test_dense_size_refusal_exit(tmp_path, capsys, argv, shape):
+    # a dense stack past sys.maxsize bytes is refused as out of memory before
+    # numpy is asked for it (numpy's own "array is too big" was exit 2)
+    hpath = tmp_path / "h.txt"
+    hpath.write_text("1100000000 1\n2 0\n")
+    argv = [arg.format(file=hpath) for arg in argv]
+    assert main([*argv, "--trials", "1"] if argv[0] != "spectrum" else argv) == 4
+    assert capsys.readouterr().err == (
+        f"error: out of memory: a (1, {shape}, {shape}) array of 8-byte entries "
+        f"needs {8 * shape**2} bytes\n"
+    )
 
 
 def test_montecarlo_huge_bins_exit(capsys):
@@ -527,6 +551,40 @@ def test_gaussian_subcommand_forces_surrogate(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["command"] == "gaussian"
     assert report["engine"] == "gaussian-surrogate"
+
+
+@pytest.mark.parametrize("command", ["montecarlo", "gaussian"])
+def test_montecarlo_report_file_rule(tmp_path, capsys, command):
+    # the report file follows emit, not format, and equals the JSON stdout
+    argv = [command, "--n", "30", "--r", "3", "--p", "0.2", "--trials", "2", "--seed", "4"]
+    assert main([*argv, "--out", str(tmp_path / "both"), "--emit", "json,csv"]) == 0
+    out = capsys.readouterr().out
+    assert (tmp_path / "both" / f"{command}.json").read_text() == out
+    assert (tmp_path / "both" / "eigenvalues_trial0001.csv").is_file()
+
+    assert main([*argv, "--out", str(tmp_path / "csv"), "--emit", "csv"]) == 0
+    assert capsys.readouterr().out == out
+    assert sorted(path.name for path in (tmp_path / "csv").iterdir()) == [
+        "eigenvalues_trial0000.csv",
+        "eigenvalues_trial0001.csv",
+    ]
+
+    assert main([*argv, "--out", str(tmp_path / "fmt"), "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("key,value\n")
+    assert (tmp_path / "fmt" / f"{command}.json").read_text() == out
+
+
+def test_gaussian_refuses_three_vertex_profile(capsys):
+    # at n = 3 no entries are vertex-disjoint: gamma = 1, rho = 0 and
+    # theta^2 = -1, which no surrogate matches
+    model = ["--n", "3", "--r", "3", "--p", "0.5"]
+    assert main(["analyze", *model]) == 0
+    profile = json.loads(capsys.readouterr().out)["covariance_profile"]
+    assert profile == {"rho_n": 0, "gamma_n": 1, "theta_sq": -1}
+    assert main(["gaussian", *model]) == 2
+    assert capsys.readouterr().err == (
+        "error: inconsistent profile: gamma - rho = 1.0, theta^2 = -1.0\n"
+    )
 
 
 def test_montecarlo_emit_files(tmp_path, capsys):

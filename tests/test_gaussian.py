@@ -177,3 +177,14 @@ def test_surrogate_refusals():
     with pytest.raises(ValueError) as exc:
         sample_surrogate(4, CovarianceProfile(rho_n=1.5, gamma_n=0.1, theta_sq=0.2), seed=0)
     assert str(exc.value) == "profile outside [0, 1]: rho=1.5, gamma=0.1"
+    # at n = 3 a class with r = 3 has gamma = 1 and no vertex-disjoint entries
+    with pytest.raises(ValueError) as exc:
+        sample_surrogate(3, covariance_profile(ModelParams.of(3, [3], [0.5])), seed=0)
+    assert str(exc.value) == "inconsistent profile: gamma - rho = 1.0, theta^2 = -1.0"
+    # a stack numpy cannot address is refused before anything is drawn
+    for n, trials in ((3037000500, 1), (2**20, 2**20)):
+        with pytest.raises(MemoryError) as exc:
+            sample_surrogate(n, GOE, seed=0, trials=trials)
+        assert str(exc.value) == (
+            f"a ({trials}, {n}, {n}) array of 8-byte entries needs {8 * trials * n * n} bytes"
+        )

@@ -561,6 +561,23 @@ def test_sample_adjacency_stack_bounds_scratch():
     assert peak <= 2 * 8 * 1000**2 / 2**20 + 4.0, peak
 
 
+def test_pair_counts_refuse_unaddressable_stacks():
+    # numpy cannot address 8 n^2 bytes here: refused as out of memory before
+    # anything is allocated, and only after the draw's own refusals
+    big = ModelParams.of(2**31, [2], [1e-13])
+    for call in (
+        lambda: sample_adjacency_stack(big, 0),
+        lambda: sample_adjacency_stack(ModelParams.of(2**20, [2], [1e-8]), 0, 2**20),
+        lambda: adjacency(Hypergraph(n=1_100_000_000, classes=(np.empty((0, 2), np.int32),))),
+    ):
+        with pytest.raises(MemoryError, match=r"8-byte entries needs \d+ bytes$"):
+            call()
+    with pytest.raises(BudgetExceededError):
+        sample_adjacency_stack(ModelParams.of(2**31, [2], [0.5]), 0)
+    with pytest.raises(ValueError, match="exceeds 2\\^31"):
+        sample_adjacency_stack(ModelParams.of(2**31 + 1, [2], [1e-13]), 0)
+
+
 def test_center_scale_catalog():
     params = ModelParams.of(3, [2], [0.5])
     A = np.ones((3, 3), dtype=np.uint32) - np.eye(3, dtype=np.uint32)

@@ -271,6 +271,19 @@ def test_covariance_profile_catalog():
     assert prof.theta_sq == pytest.approx(2.0 / 7.0, rel=1e-12)
 
 
+def test_covariance_profile_one_class_closed_form():
+    # one class: theta^2 = (n - r)(n - r - 1) / ((n - 2)(n - 3)) >= 0 from
+    # n = 4 on, gamma = 1 at r = n; at n = 3 no entries are vertex-disjoint
+    for n in range(4, 12):
+        for r in range(2, n + 1):
+            prof = covariance_profile(ModelParams.of(n, [r], [0.3]))
+            want = (n - r) * (n - r - 1) / ((n - 2) * (n - 3))
+            assert prof.theta_sq == pytest.approx(want, abs=1e-12), (n, r)
+            assert prof.gamma_n == pytest.approx((r - 2) / (n - 2), abs=1e-12)
+    prof = covariance_profile(ModelParams.of(3, [3], [0.5]))
+    assert (prof.rho_n, prof.gamma_n, prof.theta_sq) == (0.0, 1.0, -1.0)
+
+
 def test_covariance_profile_ordering_randomized():
     rng = np.random.default_rng(404)
     for _ in range(80):
