@@ -373,6 +373,13 @@ def _format_rows(rows: np.ndarray, width: int) -> np.ndarray:
 
 
 def write_hypergraph_text(h: Hypergraph, path) -> None:
+    """Write ``h`` to ``path`` in the text format; the grammar is README's
+    File formats.
+
+    Each edge line is byte-identical to ``" ".join(map(str, row + 1))``.
+    ``h`` is valid by construction, so only opening or writing the file can
+    fail (OSError).  Scratch beyond the open file is the text of ``_PIECE``
+    rows."""
     # every written value is at most n
     width = len(str(h.n))
     with open(path, "wb") as fh:
@@ -385,7 +392,7 @@ def write_hypergraph_text(h: Hypergraph, path) -> None:
 
 
 # bytes per split block; one block's tokens are the only per-token Python
-# objects the reader holds at a time
+# objects, and its values the only int64 ones, that the reader holds at a time
 _PARSE_BLOCK = 2**16
 # the separators of bytes.split()
 _SEPARATORS = b" \t\n\v\f\r"
@@ -461,62 +468,106 @@ def _leading_int64(tokens: list[bytes]) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
-def _split_blocks(data: bytes) -> tuple[np.ndarray, int]:
-    """The tokens of ``data`` as int64 up to the first bad token, and the
-    number of tokens.  ``data`` is converted block by block, so at most one
-    block's tokens exist as Python objects at a time.  A first pass counts
-    and gates each block, so that the values are one allocation: per-block
-    parts and their concatenation doubled the values and made the peak RSS
-    depend on heap layout.  Gated blocks go through numpy's C parser; every
-    other block, and every gated one whose result cannot stand, goes through
-    ``_leading_int64``, which alone decides a bad token."""
-    scans = [_scan(block) for block in _blocks(data)]
-    total = sum(tokens for tokens, _ in scans)
-    values = np.empty(total, dtype=np.int64)
-    at = 0
-    # a numpy that warns on unmatched data, where 2.x raises, returns a short
-    # array that the count check refuses
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        for block, (tokens, gated) in zip(_blocks(data), scans):
+def _vertex_ids(values: np.ndarray, out: np.ndarray) -> None:
+    """Store int64 tokens in the int32 ``out`` as 0-based vertex ids: v - 1
+    where 1 <= v <= 2^31, else -1, so no id wraps and ``Hypergraph``'s range
+    check refuses every token that is not a vertex id."""
+    if values.min() >= 1 and values.max() <= 2**31:
+        out[...] = values
+        out -= 1
+    else:
+        out[...] = np.where((values >= 1) & (values <= 2**31), values - 1, -1)
+
+
+class _Tokens:
+    """The tokens of a file's bytes, taken in order and converted block by
+    block: at most one block's values exist as int64, and at most one
+    block's tokens as Python objects.
+
+    A first pass counts and gates each block, so that a take past the last
+    token is refused before anything it sizes is allocated.  Gated blocks go
+    through numpy's C parser; every other block, and every gated one whose
+    result cannot stand, goes through ``_leading_int64``, which alone
+    decides a bad token."""
+
+    def __init__(self, data: bytes):
+        scans = [_scan(block) for block in _blocks(data)]
+        self.total = sum(tokens for tokens, _ in scans)
+        self.pos = 0
+        self._blocks = zip(_blocks(data), scans)
+        # the current block's values up to its first bad token, its token
+        # count, and the index of its next token
+        self._values = np.empty(0, dtype=np.int64)
+        self._tokens = self._at = 0
+
+    def _next_block(self) -> None:
+        block, (tokens, gated) = next(self._blocks)
+        # a numpy that warns on unmatched data, where 2.x raises, returns a
+        # short array that the count check refuses
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
             got = _c_int64(block, tokens) if gated else None
-            if got is None:
-                got = _leading_int64(block.split())
-            values[at : at + got.size] = got
-            at += got.size
-            if got.size < tokens:
-                return values[:at], total
-    return values, total
+        self._values = _leading_int64(block.split()) if got is None else got
+        self._tokens, self._at = tokens, 0
+
+    def take(self, count: int, what: str, ids: bool = False) -> np.ndarray:
+        """The next ``count`` tokens as int64, or with ``ids`` as int32
+        vertex ids by ``_vertex_ids``."""
+        if count > self.total - self.pos:
+            raise ValueError(f"truncated hypergraph file: expected {what}")
+        self.pos += count
+        out = np.empty(count, dtype=np.int32 if ids else np.int64)
+        done = 0
+        while done < count:
+            # a block may hold no token at all
+            while self._at == self._tokens:
+                self._next_block()
+            got = self._values[self._at : self._at + count - done]
+            if not got.size:
+                raise ValueError(f"bad integer in hypergraph file near {what}")
+            if ids:
+                _vertex_ids(got, out[done : done + got.size])
+            else:
+                out[done : done + got.size] = got
+            self._at += got.size
+            done += got.size
+        return out
 
 
 def read_hypergraph_text(path) -> Hypergraph:
+    """The hypergraph in the text file at ``path``; the grammar is README's
+    File formats.
+
+    Raises ValueError for a token outside the grammar or beyond int64
+    ("bad integer ..."), a file that ends before its headers say
+    ("truncated ..."), tokens after the last declared edge, a negative class
+    or edge count, a class size below 2, and everything ``Hypergraph``
+    refuses: n < 2, a size above n or below the one before, a vertex id
+    outside 1..min(n, 2^31), rows not strictly ascending, repeated rows;
+    numpy refuses the (0, r) shape of an empty class with r >= 2^60.
+    The first refusal in file order wins; ``Hypergraph``'s come after the
+    whole file is read.  Memory is about the file's bytes plus 4 bytes per
+    edge token: edge tokens go straight into each class's int32 array, and
+    the bytes are released before ``Hypergraph`` builds its dedup keys.
+    """
     with open(path, "rb") as fh:
-        values, total = _split_blocks(fh.read())
-    pos = 0
-
-    def take(count: int, what: str) -> np.ndarray:
-        nonlocal pos
-        if count > total - pos:
-            raise ValueError(f"truncated hypergraph file: expected {what}")
-        chunk = values[pos : pos + count]
-        pos += count
-        if chunk.size < count:
-            raise ValueError(f"bad integer in hypergraph file near {what}")
-        return chunk
-
-    n, k = (int(v) for v in take(2, "header 'n k'"))
+        tokens = _Tokens(fh.read())
+    n, k = tokens.take(2, "header 'n k'").tolist()
     if k < 0:
         raise ValueError(f"negative class count {k}")
     classes = []
     for i in range(k):
-        r, m = (int(v) for v in take(2, f"class {i} header 'r m'"))
+        r, m = tokens.take(2, f"class {i} header 'r m'").tolist()
         if r < 2:
             raise ValueError(f"class {i}: size {r} below 2")
         if m < 0:
             raise ValueError(f"class {i}: negative edge count")
-        edges = take(r * m, f"class {i} edges").reshape(m, r)
-        edges -= 1
-        classes.append(edges)
-    if pos != total:
+        edges = tokens.take(r * m, f"class {i} edges", ids=True)
+        # an empty class keeps its int64 (0, r) shape, which numpy refuses
+        # for r >= 2^60 ("array is too big"); Hypergraph casts it to int32
+        classes.append(edges.reshape(m, r) if m else np.empty((0, r), dtype=np.int64))
+    if tokens.pos != tokens.total:
         raise ValueError("trailing data after the last declared edge")
+    # the file's bytes go before Hypergraph builds its dedup keys
+    del tokens
     return Hypergraph(n=n, classes=tuple(classes))

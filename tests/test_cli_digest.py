@@ -32,3 +32,4 @@ def test_cli_digest_is_rerun_deterministic():
     assert [code[sha] for sha in exits("refuse_dense")] == [4, 4, 4]
     assert [code[sha] for sha in exits("refuse_budget")] == [4]
     assert [code[sha] for sha in exits("sample_spectrum")] == [0, 0, 2]
+    assert [code[sha] for sha in exits("spectrum_reader")] == [0, 2]

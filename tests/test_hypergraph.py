@@ -739,6 +739,16 @@ READER_CASES = [
     (b"5 -1", "negative class count -1"),
     (b"5 -1\n2 1\n1 2\n", "negative class count -1"),
     (b"5 1\n2 2\n1 2\n1", "truncated hypergraph file: expected class 0 edges"),
+    # the largest int32 vertex id, and ids that int32 would wrap
+    (b"3000000000 1\n2 1\n1 2147483648\n", (3000000000, [[0, 2147483647]])),
+    (
+        b"3000000000 1\n2 1\n2147483649 6442450944\n",
+        "class 0: vertex index outside 0..2147483647",
+    ),
+    (
+        b"5 1\n2 1\n9223372036854775807 -9223372036854775808\n",
+        "class 0: vertex index outside 0..4",
+    ),
 ]
 
 
@@ -855,3 +865,26 @@ def test_text_reader_memory_bound(tmp_path):
     size_mib = path.stat().st_size / 2**20
     assert size_mib > 2.0
     assert traced_peak_mib(read_hypergraph_text, path) <= 6.0 * size_mib
+
+
+def test_text_reader_peak_file_plus_int32_edges(tmp_path):
+    # the file's bytes and one int32 array per class; one block's int64
+    # values, and Hypergraph's keys once the bytes are released, fit the slack
+    path = tmp_path / "h.txt"
+    for params in (ModelParams.of(1000, [4], [5e-6]), ModelParams.of(1000, [2, 3], [0.05, 0.002])):
+        h = sample_hypergraph(params, seed=2)
+        write_hypergraph_text(h, path)
+        bound_mib = (path.stat().st_size + 4 * sum(e.size for e in h.classes)) / 2**20 + 1.0
+        assert traced_peak_mib(read_hypergraph_text, path) <= bound_mib, params
+
+
+def test_text_reader_empty_class_shape(tmp_path):
+    # an empty class keeps its int64 (0, r) shape, so numpy refuses it from
+    # r = 2^60 on, where an int32 one would pass
+    with pytest.raises(ValueError) as refusal:
+        np.empty((0, 2**60), dtype=np.int64)
+    path = tmp_path / "h.txt"
+    path.write_bytes(b"%d 1\n%d 0\n" % (2**62, 2**60))
+    assert read_outcome(path) == str(refusal.value)
+    path.write_bytes(b"%d 1\n%d 0\n" % (2**62, 2**60 - 1))
+    assert read_outcome(path) == (2**62, [])

@@ -36,6 +36,15 @@ CASES: dict[str, tuple[dict[str, str], list[list[str]]]] = {
         # a file that does not match the model
         ["spectrum", "out/hypergraph.txt", "--n", "201", "--r", "3", "--p", "0.01"],
     ]),
+    # the reader on text from outside the sampler: leading zeros and signs
+    # are accepted; an id that int32 would wrap to 2^31 - 1 is refused
+    "spectrum_reader": ({
+        "padded.txt": "+0006 1\n3 +04\n+1 02 003\n0001 +2 4\n1 3 +0005\n02 4 6\n",
+        "wrap.txt": "3000000000 1\n2 1\n2147483649 6442450944\n",
+    }, [
+        ["spectrum", "padded.txt", "--n", "6", "--r", "3", "--p", "0.2", "--out", "out"],
+        ["spectrum", "wrap.txt", "--n", "3000000000", "--r", "2", "--p", "1e-13"],
+    ]),
     "sample_cwd": ({}, [
         ["sample", *SMALL, "--seed", "2"],
         ["spectrum", "hypergraph.txt", *SMALL],
